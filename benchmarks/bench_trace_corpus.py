@@ -23,10 +23,7 @@ LOOSE_BOUND = 0.10
 
 
 def trace_corpus_table(cache=None) -> ExperimentResult:
-    backends = available_backends()
-    config = apply_backend(
-        FOUR_WIDE, "native" if "native" in backends else backends[-1]
-    )
+    config = apply_backend(FOUR_WIDE, available_backends()[-1])
     rows = []
     for entry in CORPUS:
         if not entry.committed:

@@ -54,7 +54,7 @@ from repro.pipeline.config import (
     SchedulerModel,
 )
 from repro.errors import ReproError
-from repro.fastsim import BACKENDS, apply_backend, make_processor
+from repro.fastsim import BACKENDS, apply_backend, make_processor, resolve_backend
 from repro.pipeline.pipetrace import render_pipetrace
 from repro.pipeline.processor import Processor
 from repro.workloads.feed import EmulatorFeed
@@ -439,9 +439,6 @@ def _cmd_fuzz(args) -> int:
 
     config_names = None if args.configs == "all" else args.configs.split(",")
     configs = config_matrix(names=config_names)
-    if args.backends is not None and not args.cross_backend:
-        print("error: --backends requires --cross-backend", file=sys.stderr)
-        return 2
     if args.replay is not None:
         from pathlib import Path
 
@@ -473,9 +470,6 @@ def _cmd_fuzz(args) -> int:
             raw_seeds=raw_seeds,
             progress=progress if not args.quiet else None,
             cross_backend=args.cross_backend,
-            backends=(
-                args.backends.split(",") if args.backends is not None else None
-            ),
         )
     print(report.summary())
     for failure in report.failures:
@@ -523,7 +517,7 @@ def _machine_spec_fields(args, spec: dict) -> dict:
     if args.shadow:
         spec["shadow"] = True
     if args.backend is not None:
-        spec["backend"] = args.backend
+        spec["backend"] = resolve_backend(args.backend)
     return spec
 
 
@@ -750,8 +744,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-time the pipeline stages and print the breakdown",
     )
     run_parser.add_argument(
-        "--backend", default=None, choices=BACKENDS,
-        help="cycle-loop backend (default: REPRO_BACKEND, then the config)",
+        "--backend", default=None, metavar="NAME",
+        help=f"cycle-loop backend, one of {', '.join(BACKENDS)} "
+        "(default: REPRO_BACKEND, then the config)",
     )
     _add_machine_arguments(run_parser)
 
@@ -883,8 +878,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="bypass the on-disk result cache (always simulate)",
     )
     trace_run.add_argument(
-        "--backend", default=None, choices=BACKENDS,
-        help="cycle-loop backend (default: REPRO_BACKEND, then the config)",
+        "--backend", default=None, metavar="NAME",
+        help=f"cycle-loop backend, one of {', '.join(BACKENDS)} "
+        "(default: REPRO_BACKEND, then the config)",
     )
     _add_machine_arguments(trace_run)
 
@@ -950,14 +946,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_parser.add_argument(
         "--cross-backend", action="store_true",
-        help="run every program on all compared cycle-loop backends and diff "
-        "the serialized stats byte-for-byte (the vector/native parity gate)",
-    )
-    fuzz_parser.add_argument(
-        "--backends", default=None, metavar="NAMES",
-        help="comma-separated backend set for --cross-backend, e.g. "
-        "'python,vector,native'; every named backend must be installed "
-        "(default: every installed backend)",
+        help="run every program on the python and native backends and diff "
+        "the serialized stats byte-for-byte (the native parity gate)",
     )
     fuzz_parser.add_argument(
         "--no-shrink", action="store_true",
@@ -1077,8 +1067,9 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument("--seed", type=int, default=42)
     submit_parser.add_argument("--shadow", action="store_true")
     submit_parser.add_argument(
-        "--backend", default=None, choices=BACKENDS,
-        help="cycle-loop backend the jobs should run on (default: server's choice)",
+        "--backend", default=None, metavar="NAME",
+        help="cycle-loop backend the jobs should run on, one of "
+        f"{', '.join(BACKENDS)} (default: server's choice)",
     )
     submit_parser.add_argument(
         "--priority", type=int, default=0,

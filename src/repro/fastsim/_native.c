@@ -1,21 +1,61 @@
 /* Compiled cycle-loop engine (the ``native`` backend).
  *
- * A C transliteration of the struct-of-arrays cycle loop in
- * ``repro/fastsim/engine.py`` (the ``vector`` backend), which is itself a
- * cycle-exact transliteration of ``repro.pipeline.processor.Processor``.
- * The phase structure, array layout and every comparison mirror engine.py
- * line for line — when editing, diff against that file, not against the
- * reference processor.
+ * A cycle-exact struct-of-arrays rewrite of
+ * ``repro.pipeline.processor.Processor``: the per-entry objects of the
+ * reference (IQEntry / Operand / TagRecord / EventRing items) become
+ * flat, preallocated parallel arrays indexed by instruction tag, plus an
+ * event-driven fast-forward over cycles that provably do nothing.  The
+ * five phases run in the reference's order, and parity is checked
+ * against the reference processor: ``repro fuzz --cross-backend`` and
+ * tests/fastsim/test_native_parity.py diff the serialized stats of both
+ * backends byte for byte.
  *
- * Parity strategy
+ * Tag and operand layout
+ * ----------------------
+ * Every dynamic instruction gets a dense tag at ingest (== ``op.seq``,
+ * which the python backend also uses as its tag).  Per-tag state lives
+ * in the Ctx arrays below; the two register operands of tag t live at
+ * flat indices 2*t and 2*t + 1 (operand index == the paper's LEFT/RIGHT
+ * side).  Scoreboard consumer lists encode
+ * ``(consumer_tag << 2) | (op_index + 1)`` in one int64 (op_index -1 is
+ * the LSQ memory dependence).  Select keys are
+ * ``(priority_rank << KEY_SHIFT) | tag``, so one integer sort orders the
+ * ready set by (rank, age).
+ *
+ * Event rings and the min-heap
+ * ----------------------------
+ * The four event calendars (0 kill, 1 slow wakeup, 2 broadcast,
+ * 3 completion) are power-of-two bucket rings shaped like
+ * ``repro.core.event_ring.EventRing``.  They are gated by one min-heap of
+ * ``(cycle << 2) | ring`` keys, pushed when a bucket goes non-empty: one
+ * comparison per cycle replaces four bucket walks, heap order reproduces
+ * the reference's kill -> slow-wakeup -> broadcast -> completion phase
+ * order within a cycle, and the heap top is an O(1) next-event bound.
+ *
+ * Lazy completion
  * ---------------
- * All per-tag machine state (status/epoch/operand arrays, scoreboard,
- * event rings + min-heap, ROB/LSQ/frontend rings, rename table, the
- * three true-LRU cache levels) lives in flat C arrays.  The stateful
- * Python components whose internal order matters for bit-parity — the
- * branch unit, the last-arrival predictor + shadow banks, and
- * SimStats.record_wakeup_pair — stay in Python and are driven through
- * five cold-path callbacks at exactly the call sites engine.py uses:
+ * Only control instructions get completion events: their resolution must
+ * fire on its exact cycle to unblock fetch.  Everything else completes
+ * lazily.  The completion cycle and the epoch it belongs to are stored
+ * per tag (cmp_c / cmp_ep) and compared at the few points that care:
+ * the commit head, replay-squash eligibility and the fast-forward bound.
+ *
+ * Fast-forward rule
+ * -----------------
+ * A cycle is dead when the ready set is empty, the ROB head is not
+ * committable, no frontend instruction arrives next cycle and fetch
+ * cannot run.  Everything that can change that either sits in the event
+ * heap or has a known resume cycle (the head's lazy completion, the
+ * frontend head's arrival, fetch-stall expiry, the commit watchdog), so
+ * the loop jumps to the earliest of those and credits the skipped cycles
+ * to the cycle counter.
+ *
+ * Python callbacks
+ * ----------------
+ * The stateful Python components whose internal order matters for
+ * parity — the branch unit, the last-arrival predictor + shadow banks,
+ * and SimStats.record_wakeup_pair — stay in Python and are driven
+ * through five cold-path callbacks at the reference's call sites:
  *
  *   predict_cb(t)  -> 0 fallthrough-predicted / 1 taken-predicted /
  *                     2 mispredicted (fetch must stall)
@@ -33,17 +73,15 @@
  *
  * The bimodal predictor table is read in place (PyList_GET_ITEM on the
  * live ``_table`` list) so predictor updates made inside pair_cb are
- * visible to later dispatches, same as the Python engines.
+ * visible to later dispatches, as in the reference.
  *
- * The ``store_line`` dict of engine.py (8-byte line -> newest in-LSQ
- * store) is replaced by a backward scan of the LSQ ring, which computes
- * the same answer: the dict only ever maps to stores still resident in
- * the LSQ.
+ * Store-to-load forwarding finds the newest in-LSQ store to a load's
+ * 8-byte line with a backward scan of the LSQ ring.
  *
- * Counters accumulate in C and are returned to the wrapper
- * (repro/fastsim/native.py), which flushes them into the real
- * SimStats / CacheStats objects exactly where engine.py's
- * flush_stats/flush_mem do.
+ * The IL1/DL1/L2 lookups are inlined true-LRU sets with the reference
+ * cache's hit/miss/eviction semantics.  Counters accumulate in C and are
+ * returned to the wrapper (repro/fastsim/native.py), which flushes them
+ * into the real SimStats / CacheStats objects.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -621,8 +659,8 @@ grow_i64(int64_t *p, Py_ssize_t old_n, Py_ssize_t new_n, int64_t fill)
 }
 
 /* Grow every per-tag state array (and, in generator mode, the column
- * arrays) so that tags < need are addressable.  Mirrors engine.py's
- * grow() including the default values per array. */
+ * arrays) so that tags < need are addressable, filling each array
+ * with its per-tag default. */
 static int
 ensure_cap(Ctx *c, Py_ssize_t need)
 {
@@ -1129,8 +1167,7 @@ native_run(PyObject *self, PyObject *args)
                         for (i = 0; i + 2 < n0 + 2; i += 3) {
                             int64_t pt = bkt->d[i];
                             int64_t pep = bkt->d[i + 1];
-                            /* bkt->d[i + 2] (data_valid) is unused,
-                             * exactly as in engine.py */
+                            /* bkt->d[i + 2] (data_valid) is unused */
                             if (c->epoch[pt] != pep || !c->sb_alive[pt]) {
                                 continue;
                             }
@@ -1692,8 +1729,7 @@ native_run(PyObject *self, PyObject *args)
                         if (is_mem) {
                             if (is_load) {
                                 /* _setup_load_forwarding: newest
-                                 * in-LSQ store to the 8-byte line
-                                 * (== engine.py's store_line dict) */
+                                 * in-LSQ store to the 8-byte line */
                                 int64_t line8 = c->addr[t] & -8;
                                 int64_t best = -1;
                                 Py_ssize_t li;
@@ -2152,7 +2188,7 @@ static PyMethodDef native_methods[] = {
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
     "repro.fastsim._native",
-    "Compiled cycle-loop engine (C transliteration of fastsim/engine.py).",
+    "Compiled cycle-loop engine (struct-of-arrays rewrite of Processor).",
     -1,
     native_methods,
 };

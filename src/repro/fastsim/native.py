@@ -2,11 +2,14 @@
 
 The C extension owns the whole struct-of-arrays machine state (per-tag
 arrays, event rings, ROB/LSQ/frontend rings, rename table, the three
-true-LRU caches) and runs the same five-phase cycle loop as
-``fastsim/engine.py``.  This wrapper keeps bit-parity with the python and
-vector backends by reusing the *same stateful Python components* — the
-branch unit, the last-arrival predictor, the shadow/design banks and the
-SimStats wakeup-order tracker — through five cold-path callbacks:
+true-LRU caches) and runs the five-phase cycle loop of
+:class:`repro.pipeline.processor.Processor`; ``_native.c`` carries the
+design notes (tag/operand layout, event heap, lazy completion,
+fast-forward).  Parity is checked against that reference processor.  This
+wrapper keeps it bit-exact by reusing the *same stateful Python
+components* — the branch unit, the last-arrival predictor, the
+shadow/design banks and the SimStats wakeup-order tracker — through five
+cold-path callbacks:
 
 ``predict(t)``
     Run the branch unit's predict for op *t*; returns 0 (not taken),
@@ -31,8 +34,8 @@ as in the reference.  Everything on the hot path stays in C; the
 callbacks fire only for control instructions, recorded wakeup pairs, the
 single warmup boundary and per-2048-op ingest chunks.
 
-No numpy anywhere in this module: ``native`` must work (and fall back
-cleanly) on installs without the ``[fast]`` extra.
+The module imports cleanly without the compiled artifact;
+:func:`native_available` reports whether the backend can run.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ weighting CPIs by instruction share reproduces the full-trace ratio.)
 This is the methodology of Sherwood et al.'s SimPoint adapted to this
 repo's feeds: pure stdlib (hashed projection instead of their random
 linear projection, deterministic seeded k-means++), byte-deterministic
-reports, and representative windows replayed through any of the three
-cycle-loop backends.
+reports, and representative windows replayed through either cycle-loop
+backend.
 
 **Cache-state reconstruction.**  A short timing warmup cannot rebuild a
 large cache working set: a phase that re-reads an array written megabytes
@@ -53,8 +53,10 @@ DEFAULT_SAMPLE_WARMUP = 2_000
 DEFAULT_SAMPLE_SEED = 1
 _KMEANS_MAX_ITERS = 50
 
-#: Schema version of the sampling report (bump on shape changes).
-SAMPLING_REPORT_VERSION = 1
+#: Version of the sampling report; bump on shape or semantics changes (it
+#: keys ``sampled_fingerprint``, so stale cached reports are never served).
+#: v2: a partial tail interval folds into the preceding interval.
+SAMPLING_REPORT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -68,8 +70,11 @@ def profile_intervals(
     A basic block is keyed by its leader PC; every instruction in the block
     credits the leader, so block counts are implicitly weighted by block
     length (the SimPoint convention).  A block ends at any control-flow
-    instruction or non-sequential ``next_pc``; the final interval may be
-    partial.
+    instruction or non-sequential ``next_pc``.  A partial tail folds into
+    the preceding interval, whose BBV and count absorb it: a window of a
+    few instructions can commit inside its warmup-boundary cycle and
+    measure zero IPC.  Only a trace shorter than *interval* yields a
+    single short interval.
     """
     if interval < 1:
         raise ConfigurationError("sampling interval must be >= 1")
@@ -93,7 +98,11 @@ def profile_intervals(
             bbv = {}
             in_interval = 0
             leader = None  # next op starts a fresh block attribution
-    if in_interval:
+    if in_interval and vectors:
+        for leader, count in bbv.items():
+            vectors[-1][leader] = vectors[-1].get(leader, 0) + count
+        counts[-1] += in_interval
+    elif in_interval:
         vectors.append(bbv)
         counts.append(in_interval)
     return vectors, counts

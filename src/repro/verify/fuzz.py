@@ -37,13 +37,7 @@ from repro.errors import (
     VerificationError,
 )
 from repro.analysis.cache import serialize_result
-from repro.fastsim import (
-    BACKENDS,
-    available_backends,
-    make_processor,
-    native_available,
-    numpy_available,
-)
+from repro.fastsim import make_processor, native_available
 from repro.isa.assembler import assemble
 from repro.isa.emulator import Emulator
 from repro.pipeline.config import (
@@ -225,10 +219,13 @@ def check_source(
     return None
 
 
-def _first_divergence(
-    left: str, right: str, label_l: str = "python", label_r: str = "vector"
-) -> str:
+#: The backend pair a cross-backend session compares: reference, then C loop.
+CROSS_BACKENDS = ("python", "native")
+
+
+def _first_divergence(left: str, right: str) -> str:
     """Locate the first differing leaf between two stats-export payloads."""
+    label_l, label_r = CROSS_BACKENDS
     try:
         tree_l, tree_r = json.loads(left), json.loads(right)
     except (TypeError, json.JSONDecodeError):
@@ -248,107 +245,69 @@ def _first_divergence(
     return walk(tree_l, tree_r, "") or "payloads differ"
 
 
-def resolve_cross_backends(
-    requested: Sequence[str] | None = None,
-) -> tuple[str, ...]:
-    """The backend set a cross-backend fuzz run compares.
+def resolve_cross_backends() -> tuple[str, ...]:
+    """The backends a cross-backend fuzz run compares: python and native.
 
-    With *requested* (e.g. from ``repro fuzz --backends``), every named
-    backend must be known and installed — CI legs pin the exact set so a
-    missing artifact fails loudly instead of silently narrowing the gate.
-    Without it, the gate covers every installed backend and refuses to run
-    with fewer than two (python alone compares against nothing).
+    Fails in one line when the compiled extension is missing, so a CI leg
+    cannot pass with nothing to compare the reference against.
     """
-    if requested is not None:
-        backends = []
-        for name in requested:
-            if name not in BACKENDS:
-                raise ConfigurationError(
-                    f"unknown backend {name!r}; known: {', '.join(BACKENDS)}"
-                )
-            if name == "vector" and not numpy_available():
-                raise ConfigurationError(
-                    "backend 'vector' needs numpy; install it with "
-                    "pip install -e .[fast]"
-                )
-            if name == "native" and not native_available():
-                raise ConfigurationError(
-                    "backend 'native' needs the compiled extension; build "
-                    "it with pip install -e .[native] (requires a C "
-                    "compiler)"
-                )
-            if name not in backends:
-                backends.append(name)
-    else:
-        backends = list(available_backends())
-    if len(backends) < 2:
+    if not native_available():
         raise ConfigurationError(
-            "cross-backend fuzzing needs at least two installed backends; "
-            f"have: {', '.join(backends)} (pip install -e .[fast] adds "
-            "vector, pip install -e .[native] adds native)"
+            "cross-backend fuzzing compares python with native, and backend "
+            "'native' needs the compiled extension; build it with "
+            "pip install -e .[native] (requires a C compiler)"
         )
-    return tuple(backends)
+    return CROSS_BACKENDS
 
 
 def check_source_cross_backend(
-    source: str,
-    config: MachineConfig,
-    budget: int = DEFAULT_BUDGET,
-    backends: Sequence[str] = ("python", "vector"),
+    source: str, config: MachineConfig, budget: int = DEFAULT_BUDGET
 ) -> FuzzFailure | None:
-    """Run one program on every backend and diff the stats exports.
+    """Run one program on python and native and diff the stats exports.
 
     Each backend simulates the same :class:`EmulatorFeed` with no checker
     attached (only the python backend has one), and the full serialized
     result — the exact payload the result cache and serve layer persist —
-    is compared byte-for-byte as canonical JSON against the first backend
-    (the reference).  A watchdog deadlock is a legal *matching* outcome as
-    long as all backends deadlock at the same cycle; any other asymmetry
-    is a ``backend-divergence`` failure naming the first differing leaf.
+    is compared byte-for-byte as canonical JSON against the python
+    reference.  A watchdog deadlock is a legal *matching* outcome as long
+    as both backends deadlock at the same cycle; any other asymmetry is a
+    ``backend-divergence`` failure naming the first differing leaf.
     """
     program = assemble(source)
     golden = Emulator(program)
     steps = golden.run(max_steps=budget)
     dynamic = steps - 1
 
-    exports: dict[str, str] = {}
-    for backend in backends:
+    exports: list[str] = []
+    for backend in CROSS_BACKENDS:
         processor = make_processor(
             EmulatorFeed(program), config, backend=backend
         )
         try:
             result = processor.run(max_insts=dynamic + _COMMIT_SLACK, warmup=0)
         except SimulationError as exc:
-            exports[backend] = json.dumps(
-                {"deadlock_cycle": getattr(exc, "cycle", None)}, sort_keys=True
-            )
-            continue
-        exports[backend] = json.dumps(serialize_result(result), sort_keys=True)
-    reference = backends[0]
-    for backend in backends[1:]:
-        if exports[backend] != exports[reference]:
-            return FuzzFailure(
-                kind="backend-divergence",
-                config_name=config.name,
-                message=_first_divergence(
-                    exports[reference], exports[backend], reference, backend
-                ),
-                source=source,
-            )
+            payload = {"deadlock_cycle": getattr(exc, "cycle", None)}
+        else:
+            payload = serialize_result(result)
+        exports.append(json.dumps(payload, sort_keys=True))
+    reference, native = exports
+    if native != reference:
+        return FuzzFailure(
+            kind="backend-divergence",
+            config_name=config.name,
+            message=_first_divergence(reference, native),
+            source=source,
+        )
     return None
 
 
 def _shrink_failure(
-    original: FuzzFailure,
-    config: MachineConfig,
-    budget: int,
-    backends: Sequence[str] = ("python", "vector"),
+    original: FuzzFailure, config: MachineConfig, budget: int
 ) -> str | None:
     """Minimize a failing program; None if the failure will not re-fire."""
     kind = original.kind
     if kind == "backend-divergence":
-        def check(candidate, cfg, bgt):
-            return check_source_cross_backend(candidate, cfg, bgt, backends)
+        check = check_source_cross_backend
     else:
         check = check_source
 
@@ -394,7 +353,6 @@ def run_fuzz(
     raw_seeds: Iterable[int] | None = None,
     progress: Callable[[int, int], None] | None = None,
     cross_backend: bool = False,
-    backends: Sequence[str] | None = None,
 ) -> FuzzReport:
     """Fuzz *programs* random programs across the configuration matrix.
 
@@ -405,22 +363,16 @@ def run_fuzz(
     shrunk (unless *shrink* is false) and written to *corpus_dir* when
     given; fuzzing stops early after *max_failures* distinct failures.
 
-    With *cross_backend*, every (program, config) case instead runs on all
-    compared cycle-loop backends and diffs the serialized results
+    With *cross_backend*, every (program, config) case instead runs on the
+    python and native backends and diffs the serialized results
     byte-for-byte (:func:`check_source_cross_backend`) — the bit-parity
-    gate for the vector and native backends.  *backends* pins the exact
-    set (every named backend must be installed); the default is every
-    installed backend.
+    gate for the native backend, which must be installed.
     """
     if cross_backend:
-        parity_backends = resolve_cross_backends(backends)
-
-        def check(source, config, budget):
-            return check_source_cross_backend(
-                source, config, budget, parity_backends
-            )
+        parity_backends = resolve_cross_backends()
+        check = check_source_cross_backend
     else:
-        parity_backends = ("python", "vector")
+        parity_backends = None
         check = check_source
     matrix = list(configs) if configs is not None else config_matrix()
     if raw_seeds is not None:
@@ -438,9 +390,7 @@ def run_fuzz(
                 continue
             result.seed = gen_seed
             if shrink:
-                result.shrunk_source = _shrink_failure(
-                    result, config, budget, parity_backends
-                )
+                result.shrunk_source = _shrink_failure(result, config, budget)
             if corpus_dir is not None:
                 result.repro_path = _write_failure(result, corpus_dir)
             failures.append(result)
@@ -450,7 +400,7 @@ def run_fuzz(
                     config_names=[c.name for c in matrix],
                     checked=checked,
                     failures=failures,
-                    backends=parity_backends if cross_backend else None,
+                    backends=parity_backends,
                 )
         if progress is not None:
             progress(index + 1, len(seeds))
@@ -459,7 +409,7 @@ def run_fuzz(
         config_names=[c.name for c in matrix],
         checked=checked,
         failures=failures,
-        backends=parity_backends if cross_backend else None,
+        backends=parity_backends,
     )
 
 

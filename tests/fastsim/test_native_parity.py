@@ -1,12 +1,11 @@
-"""Bit-parity of the vector and native backends against the reference.
+"""Bit-parity of the native backend against the python reference.
 
 The heavyweight gate is ``repro fuzz --cross-backend`` (random programs,
 full config matrix); these tests pin a fast deterministic slice of the
 same contract in tier-1: identical serialized results — every counter,
 histogram and predictor-bank count — on representative machine variants,
-plus the cross-backend fuzz plumbing itself.  Every parity test is
-parameterized over both fast backends and skips cleanly when a backend's
-prerequisite (numpy / the compiled extension) is missing.
+plus the cross-backend fuzz plumbing itself.  Every parity test skips
+cleanly when the compiled extension is missing.
 """
 
 import json
@@ -14,7 +13,7 @@ import json
 import pytest
 
 from repro.analysis.cache import serialize_result
-from repro.fastsim import make_processor, native_available, numpy_available
+from repro.fastsim import make_processor, native_available
 from repro.pipeline.config import (
     EIGHT_WIDE,
     FOUR_WIDE,
@@ -45,18 +44,10 @@ _VARIANTS = {
     "8-wide": EIGHT_WIDE,
 }
 
-#: Fast backends under parity test, with their availability probes.
-_FAST_BACKENDS = ("vector", "native")
-
-
-def _require(backend):
-    if backend == "vector" and not numpy_available():
-        pytest.skip("vector backend needs numpy (pip install -e .[fast])")
-    if backend == "native" and not native_available():
-        pytest.skip(
-            "native backend needs the compiled extension "
-            "(pip install -e .[native])"
-        )
+requires_native = pytest.mark.skipif(
+    not native_available(),
+    reason="native backend needs the compiled extension (pip install -e .[native])",
+)
 
 
 def _payload(processor, insts, warmup):
@@ -64,58 +55,47 @@ def _payload(processor, insts, warmup):
     return json.dumps(serialize_result(result), sort_keys=True)
 
 
-def _assert_parity(
-    make_feed, config, fast_backend, insts=1_200, warmup=0, shadow=None
-):
+def _assert_parity(make_feed, config, insts=1_200, warmup=0, shadow=None):
     payloads = {}
-    for backend in ("python", fast_backend):
+    for backend in ("python", "native"):
         processor = make_processor(
             make_feed(), config, backend=backend, shadow_sizes=shadow
         )
         payloads[backend] = _payload(processor, insts, warmup)
-    assert payloads["python"] == payloads[fast_backend]
+    assert payloads["python"] == payloads["native"]
 
 
-@pytest.mark.parametrize("backend", _FAST_BACKENDS)
+@requires_native
 @pytest.mark.parametrize("name", sorted(_VARIANTS))
-def test_synthetic_workload_parity(name, backend):
-    _require(backend)
+def test_synthetic_workload_parity(name):
     config = _VARIANTS[name]
-    _assert_parity(
-        lambda: SyntheticWorkload(get_profile("gzip"), seed=3), config, backend
-    )
+    _assert_parity(lambda: SyntheticWorkload(get_profile("gzip"), seed=3), config)
 
 
-@pytest.mark.parametrize("backend", _FAST_BACKENDS)
-def test_parity_with_warmup_and_shadow_bank(backend):
-    _require(backend)
+@requires_native
+def test_parity_with_warmup_and_shadow_bank():
     _assert_parity(
         lambda: SyntheticWorkload(get_profile("gcc"), seed=7),
         FOUR_WIDE,
-        backend,
         warmup=200,
         shadow=(64, 256),
     )
 
 
-@pytest.mark.parametrize("backend", _FAST_BACKENDS)
-def test_emulator_feed_parity(backend):
+@requires_native
+def test_emulator_feed_parity():
     """The generator ingest path (no decoded columns) is also bit-exact."""
-    _require(backend)
     program = kernel_program("pointer_chase")
-    _assert_parity(
-        lambda: EmulatorFeed(program, name="pointer_chase"), FOUR_WIDE, backend
-    )
+    _assert_parity(lambda: EmulatorFeed(program, name="pointer_chase"), FOUR_WIDE)
 
 
-@pytest.mark.parametrize("backend", _FAST_BACKENDS)
-def test_replay_feed_decoded_columns_parity(backend):
+@requires_native
+def test_replay_feed_decoded_columns_parity():
     """Pre-decoded ReplayFeed (the fast path) matches the reference too."""
-    _require(backend)
     workload = SyntheticWorkload(get_profile("vortex"), seed=5)
     feed = ReplayFeed.from_stream(workload, 1_600)
     feed.columns()
-    _assert_parity(lambda: feed_copy(feed), FOUR_WIDE, backend)
+    _assert_parity(lambda: feed_copy(feed), FOUR_WIDE)
 
 
 def feed_copy(feed):
@@ -127,27 +107,20 @@ def feed_copy(feed):
     return clone
 
 
-@pytest.mark.parametrize("backend", _FAST_BACKENDS)
-def test_fast_backends_are_single_run(backend):
-    _require(backend)
+@requires_native
+def test_native_backend_is_single_run():
     workload = SyntheticWorkload(get_profile("gzip"), seed=3)
-    processor = make_processor(workload, FOUR_WIDE, backend=backend)
+    processor = make_processor(workload, FOUR_WIDE, backend="native")
     processor.run(max_insts=300, warmup=0)
     with pytest.raises(Exception, match="single-run"):
         processor.run(max_insts=300, warmup=0)
 
 
+@requires_native
 def test_cross_backend_fuzz_smoke():
-    """A short cross-backend fuzz session through the real orchestration.
-
-    Covers every installed backend (the default resolution), so on a
-    fully-built checkout this is a genuine python/vector/native 3-way
-    byte-parity check.
-    """
+    """A short python-vs-native fuzz session through the real orchestration."""
     from repro.verify.fuzz import config_matrix, run_fuzz
 
-    if not numpy_available():
-        pytest.skip("cross-backend fuzzing needs at least the vector backend")
     report = run_fuzz(
         3,
         seed=11,
@@ -156,33 +129,35 @@ def test_cross_backend_fuzz_smoke():
     )
     assert report.ok, report.summary()
     assert report.checked == 3 * 3  # 3 programs x (base x2 recoveries + 1)
-    assert report.backends is not None and report.backends[0] == "python"
-    assert ("native" in report.backends) == native_available()
+    assert report.backends == ("python", "native")
+    assert "[cross-backend: python vs native]" in report.summary()
 
 
-def test_cross_backend_fuzz_pinned_backends_fail_loudly(monkeypatch):
-    """A CI leg that pins --backends must not silently narrow the gate."""
+def test_cross_backend_fuzz_without_native_fails_loudly(monkeypatch):
+    """With no compiled extension the gate fails in one line, never passes."""
     import repro.verify.fuzz as fuzz_mod
     from repro.errors import ConfigurationError
-    from repro.verify.fuzz import resolve_cross_backends
+    from repro.verify.fuzz import run_fuzz
 
     monkeypatch.setattr(fuzz_mod, "native_available", lambda: False)
-    with pytest.raises(ConfigurationError, match="compiled extension"):
-        resolve_cross_backends(["python", "vector", "native"])
+    with pytest.raises(ConfigurationError) as excinfo:
+        run_fuzz(1, seed=11, cross_backend=True)
+    message = str(excinfo.value)
+    assert "\n" not in message
+    assert "python with native" in message and "compiled extension" in message
 
 
-@pytest.mark.parametrize("backend", _FAST_BACKENDS)
-def test_runner_serves_all_backends_identically(monkeypatch, backend):
+@requires_native
+def test_runner_serves_both_backends_identically(monkeypatch):
     """REPRO_BACKEND flows through the runner; stats stay bit-identical."""
-    _require(backend)
     from repro.analysis.runner import ExperimentRunner
 
     payloads = {}
-    for choice in ("python", backend):
+    for choice in ("python", "native"):
         monkeypatch.setenv("REPRO_BACKEND", choice)
         runner = ExperimentRunner(
             insts=800, warmup=200, seed=3, benchmarks=("gzip",), cache=False
         )
         result = runner.result("gzip", FOUR_WIDE)
         payloads[choice] = json.dumps(serialize_result(result), sort_keys=True)
-    assert payloads["python"] == payloads[backend]
+    assert payloads["python"] == payloads["native"]

@@ -1,5 +1,7 @@
 """Queue persistence: journal mechanics and crash/restart recovery."""
 
+import json
+
 from repro.analysis.cache import ResultCache
 from repro.serve.client import ServeClient
 from repro.serve.executor import JobExecutor
@@ -41,6 +43,20 @@ class TestSpoolJournal:
             handle.write('{"op": "submit", "id": "j-0000')  # crash mid-write
         recovered = SpoolJournal(tmp_path).recover()
         assert [job_id for job_id, _spec in recovered] == ["j-000001"]
+
+    def test_submit_for_a_removed_backend_is_skipped(self, tmp_path):
+        """A journal written before the vector backend was removed still
+        recovers: that job is dropped, its id is never reissued."""
+        table, journal = JobTable(), SpoolJournal(tmp_path)
+        _submit(table, journal, tiny_run())
+        stale = {**parse_spec(tiny_run("gcc")).as_wire(), "backend": "vector"}
+        with journal.path.open("a") as handle:
+            handle.write(json.dumps({"op": "submit", "id": "j-000002", "spec": stale}) + "\n")
+        fresh = SpoolJournal(tmp_path)
+        recovered = fresh.recover()
+        assert [job_id for job_id, _spec in recovered] == ["j-000001"]
+        assert recovered[0][1].backend == "python"
+        assert fresh.next_id == 3
 
     def test_compact_rewrites_only_pending(self, tmp_path):
         table, journal = JobTable(), SpoolJournal(tmp_path)

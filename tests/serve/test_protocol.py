@@ -127,7 +127,7 @@ class TestBackendField:
         assert spec.backend == "python"
         assert spec.config().backend == "python"
 
-    @pytest.mark.parametrize("backend", ["vector", "native"])
+    @pytest.mark.parametrize("backend", ["native"])
     def test_backend_round_trips_through_wire(self, backend):
         spec = parse_spec({"benchmark": "gzip", "backend": backend})
         assert spec.backend == backend
@@ -138,17 +138,31 @@ class TestBackendField:
         with pytest.raises(ProtocolError, match="unknown backend"):
             parse_spec({"benchmark": "gzip", "backend": "cuda"})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "run", "benchmark": "gzip"},
+            {"kind": "trace", "trace": "x.hpt", "content_hash": "ab" * 32},
+        ],
+        ids=["run", "trace"],
+    )
+    def test_removed_vector_backend_names_the_live_ones(self, payload):
+        retired = "vector"
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_spec({**payload, "backend": retired})
+        assert str(excinfo.value) == f"unknown backend {retired!r} (known: python, native)"
+
     def test_backend_changes_fingerprint(self):
         """Coalescing and cached results must never cross backends."""
         fingerprints = {
             backend: parse_spec(
                 {"benchmark": "gzip", "backend": backend}
             ).fingerprint()
-            for backend in ("python", "vector", "native")
+            for backend in ("python", "native")
         }
-        assert len(set(fingerprints.values())) == 3
+        assert len(set(fingerprints.values())) == 2
 
-    @pytest.mark.parametrize("backend", ["vector", "native"])
+    @pytest.mark.parametrize("backend", ["native"])
     def test_backend_fingerprint_matches_cache_digest(self, backend):
         spec = parse_spec({"benchmark": "gzip", "backend": backend})
         expected = cache_fingerprint(
@@ -208,4 +222,4 @@ class TestTraceSpecParsing:
 
     def test_machine_knobs_change_fingerprint(self):
         assert self.spec().fingerprint() != self.spec(width=8).fingerprint()
-        assert self.spec().fingerprint() != self.spec(backend="vector").fingerprint()
+        assert self.spec().fingerprint() != self.spec(backend="native").fingerprint()

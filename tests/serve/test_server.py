@@ -121,6 +121,14 @@ class TestHttpSurface:
             client.submit(tiny_run("doom"))
         assert excinfo.value.status == 400
 
+    def test_removed_vector_backend_is_400(self, server):
+        client = ServeClient(server.base_url)
+        retired = "vector"
+        with pytest.raises(ServeError) as excinfo:
+            client.submit({**tiny_run(), "backend": retired})
+        assert excinfo.value.status == 400
+        assert f"unknown backend {retired!r} (known: python, native)" in str(excinfo.value)
+
     def test_unknown_job_404(self, server):
         client = ServeClient(server.base_url)
         with pytest.raises(ServeError) as excinfo:

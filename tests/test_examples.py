@@ -42,3 +42,22 @@ def test_all_examples_covered():
         p.name for p in _EXAMPLES.glob("*.py") if not p.name.startswith("generate")
     }
     assert on_disk == set(_CASES)
+
+
+def test_trace_capture_writes_a_replayable_binary_trace(tmp_path):
+    """The example's tracefile holds the live synthetic stream, op by op."""
+    from repro.trace import TraceFeed
+    from repro.workloads import SyntheticWorkload, collect_stream, get_profile
+    from repro.workloads.trace import DynOp
+
+    result = run_example(
+        "trace_capture.py",
+        ["--benchmark", "gzip", "--ops", "1500", "--out", str(tmp_path)],
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    feed = TraceFeed(tmp_path / "gzip.hpt")
+    live = collect_stream(SyntheticWorkload(get_profile("gzip"), seed=42), 1500)
+    assert len(feed.ops) == len(live) == 1500
+    for replayed, expected in zip(feed.ops, live):
+        for field in DynOp.__slots__:
+            assert getattr(replayed, field) == getattr(expected, field), field

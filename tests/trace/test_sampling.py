@@ -1,12 +1,13 @@
 """SimPoint-style sampling: profiling, clustering, warming, accuracy."""
 
 import json
+import math
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.fastsim import apply_backend, available_backends
-from repro.pipeline.config import FOUR_WIDE
+from repro.pipeline.config import EIGHT_WIDE, FOUR_WIDE
 from repro.trace.capture import capture_kernel
 from repro.trace.feed import TraceFeed
 from repro.trace.run import run_full
@@ -27,10 +28,8 @@ def kernel_ops(name, **kwargs):
     return list(EmulatorFeed(kernel_program(name, **kwargs), name=name))
 
 
-def fastest_config():
-    backends = available_backends()
-    pick = "native" if "native" in backends else backends[-1]
-    return apply_backend(FOUR_WIDE, pick)
+def fastest_config(base=FOUR_WIDE):
+    return apply_backend(base, available_backends()[-1])
 
 
 class TestProfiling:
@@ -40,6 +39,16 @@ class TestProfiling:
         assert sum(counts) == len(ops)
         assert len(vectors) == len(counts)
         assert all(sum(bbv.values()) == count for bbv, count in zip(vectors, counts))
+
+    def test_partial_tail_folds_into_the_preceding_interval(self):
+        ops = kernel_ops("strsearch")
+        interval = 500
+        assert len(ops) % interval  # the trace has a partial tail
+        vectors, counts = profile_intervals(ops, interval)
+        assert len(counts) == len(ops) // interval
+        assert counts[:-1] == [interval] * (len(counts) - 1)
+        assert counts[-1] == interval + len(ops) % interval
+        assert sum(vectors[-1].values()) == counts[-1]
 
     def test_leaders_are_block_starts(self):
         ops = kernel_ops("fibonacci")
@@ -154,3 +163,15 @@ class TestSampledAccuracy:
         )
         assert sum(s["weight"] for s in report["samples"]) == pytest.approx(1.0)
         assert report["content_hash"] == trace.content_hash
+
+
+def test_short_tail_interval_cannot_zero_the_weighted_ipc():
+    """``vector_sum_80k`` ends in a 3-instruction tail.  Sampled as its own
+    interval on 8-wide, that tail commits inside the warmup-boundary cycle,
+    measures IPC 0 and divides the weighted CPI by zero."""
+    from repro.trace import load_corpus_feed
+
+    feed = load_corpus_feed("vector_sum_80k")
+    report = simulate_sampled(feed, fastest_config(EIGHT_WIDE))
+    assert math.isfinite(report["weighted_ipc"]) and report["weighted_ipc"] > 0
+    assert all(sample["ipc"] > 0 for sample in report["samples"])
