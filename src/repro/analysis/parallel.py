@@ -15,6 +15,12 @@ Worker count resolution, in priority order:
 
 ``jobs <= 1`` (or a single job) runs inline in this process — no pool, no
 pickling, no worker startup cost.
+
+Every job reads its synthetic stream through the process's one-entry
+feed memo (:mod:`repro.workloads.stream`), inline and in pool workers
+alike, so consecutive jobs on one ``(benchmark, seed)`` stream generate
+it once.  Both execution paths run jobs grouped by stream
+(:func:`group_by_feed`) and still return results in submission order.
 """
 
 from __future__ import annotations
@@ -26,8 +32,7 @@ from dataclasses import dataclass
 from repro.fastsim import make_processor
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import SimulationResult
-from repro.workloads.profiles import get_profile
-from repro.workloads.synthetic import SyntheticWorkload
+from repro.workloads.stream import feed_key, synthetic_stream
 
 
 def env_int(name: str, default: int) -> int:
@@ -70,13 +75,29 @@ def execute_job(job: Job) -> SimulationResult:
 
     The job's config carries the already-resolved cycle-loop backend
     (the runner materializes it before building jobs), so worker
-    processes never consult the environment themselves.
+    processes never consult the environment themselves.  The stream comes
+    from the process's feed memo: generated on the first job of a
+    ``(benchmark, seed)`` pair, replayed (and extended if this job runs
+    longer) by the next.
     """
-    workload = SyntheticWorkload(get_profile(job.benchmark), seed=job.seed)
+    stream = synthetic_stream(job.benchmark, job.seed)
     processor = make_processor(
-        workload, job.config, backend=job.config.backend, shadow_sizes=job.shadow_sizes
+        stream, job.config, backend=job.config.backend, shadow_sizes=job.shadow_sizes
     )
     return processor.run(max_insts=job.insts, warmup=job.warmup)
+
+
+def group_by_feed(keys: list) -> list[int]:
+    """Indices of *keys* reordered so equal keys are adjacent.
+
+    Groups appear in order of first appearance and keep their members'
+    submission order (a stable grouping), so a one-entry feed memo serves
+    every job of a group after the first.
+    """
+    groups: dict = {}
+    for index, key in enumerate(keys):
+        groups.setdefault(key, []).append(index)
+    return [index for members in groups.values() for index in members]
 
 
 def run_jobs(jobs: list[Job], workers: int | None = None) -> list[SimulationResult]:
@@ -88,13 +109,24 @@ def run_jobs(jobs: list[Job], workers: int | None = None) -> list[SimulationResu
 
     Multi-job dispatches ride the process-wide warm pool — workers stay
     alive between calls with modules imported and configs memoized, so
-    repeat fan-outs skip the ~100 ms spin-up cost.
+    repeat fan-outs skip the ~100 ms spin-up cost.  Inline runs execute
+    grouped by stream, like the pool, and every job runs even when an
+    earlier one fails.
     """
     if not jobs:
         return []
     count = workers if workers is not None else default_jobs()
     if count <= 1 or len(jobs) == 1:
-        return [execute_job(job) for job in jobs]
+        results: list = [None] * len(jobs)
+        failures: dict[int, BaseException] = {}
+        for index in group_by_feed([feed_key(job.benchmark, job.seed) for job in jobs]):
+            try:
+                results[index] = execute_job(jobs[index])
+            except Exception as error:  # noqa: BLE001 - re-raised in order below
+                failures[index] = error
+        if failures:
+            raise failures[min(failures)]
+        return results
     # Deferred import: the pool module imports Job/env_int from here.
     from repro.analysis.pool import get_pool
 

@@ -12,9 +12,16 @@ fan-out through it:
   subsequent sweep in the process.  Modules are imported and backends
   resolved once per worker lifetime, not once per call.
 * **Compact descriptors.** Workers memoize :class:`~repro.pipeline.
-  config.MachineConfig` values by a pool-assigned integer id and decoded
-  trace feeds by content hash, so repeat dispatches ship small tuples —
-  the full config travels only to a worker that has not seen it yet.
+  config.MachineConfig` values by a pool-assigned integer id, so repeat
+  dispatches ship small tuples — the full config travels only to a
+  worker that has not seen it yet.
+* **One feed per worker.** Each worker keeps the feed it used last — a
+  synthetic stream keyed by ``(benchmark, seed)`` or a decoded trace
+  keyed by content hash — in the one-entry feed memo of
+  :mod:`repro.workloads.stream`.  Tasks are grouped by that key before
+  chunking, and a group is split only when it is larger than one
+  worker's share, so a sweep of many configs over one stream generates
+  it about once, while a worker never holds more than one feed.
 * **Adaptive chunking.** Jobs are packed into chunks sized from the
   measured per-job cost (EWMA, targeting ``REPRO_POOL_CHUNK_MS`` of work
   per chunk) so one IPC round-trip amortizes over many short
@@ -46,8 +53,10 @@ Environment knobs (all optional):
     server worker drains into one batched execution (default ``8``).
 
 The pool publishes its own :class:`~repro.obs.registry.MetricsRegistry`
-(``pool.*`` names) which the serve ``/metrics`` endpoint and the
-``repro prefetch`` summary merge in.
+(``pool.*`` names, among them ``pool.stream_memo_hits`` /
+``pool.stream_loads`` and ``pool.feed_memo_hits`` / ``pool.feed_loads``
+for the workers' synthetic-stream and trace-feed memo) which the serve
+``/metrics`` endpoint and the ``repro prefetch`` summary merge in.
 """
 
 from __future__ import annotations
@@ -59,12 +68,14 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
 from multiprocessing import connection, get_all_start_methods, get_context
 from typing import Sequence
 
-from repro.analysis.parallel import Job, default_jobs, env_int
+from repro.analysis.parallel import Job, default_jobs, env_int, group_by_feed
 from repro.obs.registry import MetricsRegistry
 from repro.pipeline.config import MachineConfig
+from repro.workloads.stream import FEED_MEMO, feed_key
 
 #: Wire-protocol opcodes (parent -> worker and back).
 _OP_CHUNK = "chunk"
@@ -81,9 +92,9 @@ class TraceJob:
     """One trace replay: a tracefile reference + machine + run lengths.
 
     The pool-side analogue of :class:`~repro.analysis.parallel.Job` for
-    trace workloads.  Workers memoize the decoded feed by
-    ``content_hash``, so a sweep over many configs of one trace decodes
-    the tracefile once per worker, not once per job.
+    trace workloads.  Workers keep the decoded feed in their one-entry
+    feed memo under ``content_hash``, so a sweep over many configs of one
+    trace decodes the tracefile about once, not once per job.
     """
 
     trace: str
@@ -126,7 +137,7 @@ def _decode_error(payload: bytes) -> BaseException:
     return RuntimeError(f"worker returned a non-exception error: {error!r}")
 
 
-def _execute_task(task: tuple, configs: dict, feeds: dict, stats: dict):
+def _execute_task(task: tuple, configs: dict):
     """Run one wire task inside a worker, using its warm memo tables."""
     kind = task[0]
     if kind == "run":
@@ -138,21 +149,9 @@ def _execute_task(task: tuple, configs: dict, feeds: dict, stats: dict):
     if kind == "trace":
         _, _index, trace, content_hash, config_id, insts, warmup, shadow = task
         from repro.fastsim import make_processor
-        from repro.trace import TraceFormatError, load_corpus_feed
+        from repro.trace import shared_corpus_feed
 
-        feed = feeds.get(content_hash)
-        if feed is None:
-            stats["feed_loads"] += 1
-            feed = load_corpus_feed(trace)
-            if feed.content_hash != content_hash:
-                raise TraceFormatError(
-                    f"trace {trace!r} has content hash "
-                    f"{feed.content_hash[:12]}…, but the job was submitted "
-                    f"for {content_hash[:12]}… (stale reference?)"
-                )
-            feeds[content_hash] = feed
-        else:
-            stats["feed_hits"] += 1
+        feed = shared_corpus_feed(trace, content_hash)
         config = configs[config_id]
         processor = make_processor(
             feed, config, backend=config.backend, shadow_sizes=shadow
@@ -162,15 +161,22 @@ def _execute_task(task: tuple, configs: dict, feeds: dict, stats: dict):
     raise ValueError(f"unknown pool task kind {kind!r}")
 
 
+def _task_feed_key(task: tuple) -> tuple:
+    """The feed-memo key a wire task reads its workload through."""
+    if task[0] == "trace":
+        return ("trace", task[3])
+    return feed_key(task[2], task[4])
+
+
 def _worker_main(conn) -> None:
     """Long-lived worker loop: receive chunks, run jobs, send outcomes.
 
     Warm state lives here: ``configs`` maps pool-assigned ids to
-    :class:`MachineConfig` values (shipped once per worker), ``feeds``
-    memoizes decoded trace feeds by content hash.
+    :class:`MachineConfig` values (shipped once per worker), and the
+    process's feed memo holds the last stream or decoded trace.  Each
+    reply carries the memo's hit/load counts for its chunk.
     """
     configs: dict[int, MachineConfig] = {}
-    feeds: dict[str, object] = {}
     while True:
         try:
             message = conn.recv()
@@ -180,18 +186,22 @@ def _worker_main(conn) -> None:
             break
         _, chunk_id, config_delta, tasks = message
         configs.update(config_delta)
-        stats = {"feed_hits": 0, "feed_loads": 0}
+        before = dict(FEED_MEMO.counts)
         results = []
         for task in tasks:
             index = task[1]
             try:
-                value = _execute_task(task, configs, feeds, stats)
+                value = _execute_task(task, configs)
             except KeyboardInterrupt:  # pragma: no cover - interactive only
                 return
             except BaseException as error:  # noqa: BLE001 - transported
                 results.append((index, False, _encode_error(error)))
             else:
                 results.append((index, True, value))
+        stats = {
+            name: count - before.get(name, 0)
+            for name, count in FEED_MEMO.counts.items()
+        }
         try:
             conn.send((_OP_DONE, chunk_id, results, stats))
         except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
@@ -388,7 +398,15 @@ class WorkerPool:
         raise TypeError(f"pool cannot dispatch {type(job).__name__} jobs")
 
     def _chunk_tasks(self, tasks: list[tuple]) -> deque:
-        """Pack tasks into chunks sized from the measured per-job cost."""
+        """Pack feed-grouped tasks into chunks sized from the measured
+        per-job cost.
+
+        *tasks* arrive grouped by feed key.  A group is split only when it
+        is larger than one worker's share (``spread``), into near-equal
+        pieces; a chunk holds whole pieces, so it may run past the cost
+        target by up to one piece — regenerating a stream costs more than
+        a job, so splitting a group to hit the target would not pay.
+        """
         count = len(tasks)
         spread = max(1, math.ceil(count / max(len(self._workers), 1)))
         if self._ewma_job_s is None:
@@ -398,9 +416,23 @@ class WorkerPool:
             target_s = max(self.chunk_ms, 1) / 1000.0
             size = max(1, round(target_s / max(self._ewma_job_s, 1e-6)))
             size = min(size, spread)
+        pieces: list[list[tuple]] = []
+        for _, members in groupby(tasks, key=_task_feed_key):
+            group = list(members)
+            parts = math.ceil(len(group) / spread)
+            pieces += [
+                group[len(group) * part // parts : len(group) * (part + 1) // parts]
+                for part in range(parts)
+            ]
+        packed: list[list[tuple]] = []
+        for piece in pieces:
+            if packed and len(packed[-1]) + len(piece) <= size:
+                packed[-1] += piece
+            else:
+                packed.append(piece)
         chunks: deque[_Chunk] = deque()
-        for start in range(0, count, size):
-            chunks.append(_Chunk(self._next_chunk_id, tasks[start : start + size]))
+        for chunk_tasks in packed:
+            chunks.append(_Chunk(self._next_chunk_id, chunk_tasks))
             self._next_chunk_id += 1
         histogram = self.registry.histogram("pool.chunk_size")
         for chunk in chunks:
@@ -454,9 +486,10 @@ class WorkerPool:
         """Run *jobs* on the warm pool; per-job outcomes in submission order.
 
         Jobs may be :class:`~repro.analysis.parallel.Job` or
-        :class:`TraceJob` values, freely mixed.  A worker crash replaces
-        the worker and requeues its chunk up to ``retries`` times; jobs
-        still unfinished after that carry a :class:`WorkerCrashError`.
+        :class:`TraceJob` values, freely mixed; they are grouped by feed
+        key before chunking.  A worker crash replaces the worker and
+        requeues its chunk up to ``retries`` times; jobs still unfinished
+        after that carry a :class:`WorkerCrashError`.
         """
         if not jobs:
             return []
@@ -469,7 +502,8 @@ class WorkerPool:
             self._ensure_started()
             outcomes: list[Outcome | None] = [None] * len(jobs)
             tasks = [self._descriptor(i, job) for i, job in enumerate(jobs)]
-            chunks = self._chunk_tasks(tasks)
+            order = group_by_feed([_task_feed_key(task) for task in tasks])
+            chunks = self._chunk_tasks([tasks[i] for i in order])
             self.registry.counter("pool.dispatches").inc()
             self.registry.counter("pool.jobs_dispatched").inc(len(jobs))
             self.registry.counter("pool.chunks_sent").inc(len(chunks))
@@ -516,12 +550,13 @@ class WorkerPool:
                         if self._ewma_job_s is None
                         else 0.5 * self._ewma_job_s + 0.5 * per_job
                     )
-                    self.registry.counter("pool.feed_memo_hits").inc(
-                        stats.get("feed_hits", 0)
-                    )
-                    self.registry.counter("pool.feed_loads").inc(
-                        stats.get("feed_loads", 0)
-                    )
+                    for name, key in (
+                        ("pool.stream_memo_hits", "synthetic_hits"),
+                        ("pool.stream_loads", "synthetic_loads"),
+                        ("pool.feed_memo_hits", "trace_hits"),
+                        ("pool.feed_loads", "trace_loads"),
+                    ):
+                        self.registry.counter(name).inc(stats.get(key, 0))
                     for index, ok, payload in results:
                         if ok:
                             outcomes[index] = Outcome(ok=True, value=payload)

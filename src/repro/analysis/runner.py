@@ -28,9 +28,9 @@ import os
 from pathlib import Path
 
 from repro.analysis.cache import ResultCache
-from repro.analysis.parallel import Job, env_int, run_jobs
+from repro.analysis.parallel import Job, env_int, execute_job, run_jobs
 from repro.analysis.singleflight import SingleFlight
-from repro.fastsim import apply_backend, make_processor
+from repro.fastsim import apply_backend
 from repro.obs.registry import MetricsRegistry
 from repro.pipeline.config import EIGHT_WIDE, FOUR_WIDE, MachineConfig
 from repro.pipeline.processor import SimulationResult
@@ -186,13 +186,9 @@ class ExperimentRunner:
                 self.metrics.counter("runner.claim_waits").inc()
                 self.cache.wait_published(*run, timeout=wait_s)
         try:
-            processor = make_processor(
-                self.workload(benchmark, seed),
-                config,
-                backend=config.backend,
-                shadow_sizes=shadow_sizes,
+            found = execute_job(
+                Job(benchmark, config, seed, self.insts, self.warmup, shadow_sizes)
             )
-            found = processor.run(max_insts=self.insts, warmup=self.warmup)
             self.metrics.counter("runner.simulated").inc()
             self._results[key] = found
             if self.cache is not None:

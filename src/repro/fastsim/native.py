@@ -25,14 +25,23 @@ cold-path callbacks:
     Flush the C stat accumulators into SimStats at the warmup boundary
     and reset the measurement window.
 ``ingest()``
-    Pull the next chunk of a generator feed; returns ``None`` when
-    drained, else a 12-tuple of int64 columns.
+    The next chunk of the op stream; returns ``None`` when drained, else
+    a 12-tuple of int64 column buffers.
 
-The bimodal predictor *table* is read in place by the C loop (via the
-list object), so ``pair`` updates are visible to later dispatches exactly
-as in the reference.  Everything on the hot path stays in C; the
+There is one ingest path.  Every feed is read through a
+:class:`~repro.workloads.stream.Stream` (:func:`~repro.workloads.stream.
+stream_of`): the shared, memoized stream that ``execute_job`` passes in,
+the cached stream of a materialized replay feed, or a private stream over
+any other iterable.  ``ingest`` hands the C loop the stream's encoded
+chunks in order (2048 ops each while the stream grows, the rest in one
+once it is complete); a chunk is generated and encoded once per stream,
+so later runs on the same stream only pay the copy into C.
+
+The last-arrival predictor *table* is read in place by the C loop (via
+the list object), so ``pair`` updates are visible to later dispatches
+exactly as in the reference.  Everything on the hot path stays in C; the
 callbacks fire only for control instructions, recorded wakeup pairs, the
-single warmup boundary and per-2048-op ingest chunks.
+single warmup boundary and once per ingested chunk.
 
 The module imports cleanly without the compiled artifact;
 :func:`native_available` reports whether the backend can run.
@@ -40,8 +49,7 @@ The module imports cleanly without the compiled artifact;
 
 from __future__ import annotations
 
-from array import array
-from itertools import islice
+from itertools import count
 from time import perf_counter
 
 from repro.core.iq import PRIORITY_CLASSES
@@ -68,7 +76,7 @@ from repro.pipeline.config import (
 from repro.pipeline.fu import is_non_pipelined, pool_index
 from repro.pipeline.processor import _WATCHDOG_CYCLES, SimulationResult
 from repro.pipeline.stats import SimStats
-from repro.workloads.feed import decode_columns
+from repro.workloads.stream import stream_of
 
 try:  # pragma: no cover - exercised via native_available()
     from repro.fastsim import _native
@@ -77,7 +85,7 @@ except ImportError:  # pragma: no cover - no compiled artifact present
 
 #: The wire protocol this wrapper speaks; a prebuilt _native.so from a
 #: different revision is refused rather than driven wrong.
-_ABI_VERSION = 1
+_ABI_VERSION = 2
 
 _RANK_BY_IDX = tuple(0 if c in PRIORITY_CLASSES else 1 for c in OpClass)
 _POOL_BY_IDX = tuple(
@@ -89,33 +97,12 @@ _NONPIPE_BY_IDX = tuple(
 
 _SIDES = (OperandSide.LEFT, OperandSide.RIGHT)
 
-_CHUNK = 2048
-
 
 def native_available() -> bool:
     """True when the compiled extension is importable and ABI-compatible."""
     return (
         _native is not None
         and getattr(_native, "ABI_VERSION", 0) == _ABI_VERSION
-    )
-
-
-def _encode_columns(pcs, ctrls, loads, stores, nops, ocls, dests, deps,
-                    addrs, pc_address):
-    """Pack decoded python columns into the 12 int64 buffers C reads."""
-    dest = array("q", [-1 if d is None else d for d in dests])
-    ndeps = array("q", [len(d) for d in deps])
-    dep0 = array("q", [d[0] if d else -1 for d in deps])
-    dep1 = array("q", [d[1] if len(d) > 1 else -1 for d in deps])
-    addr = array("q", [0 if a is None else a for a in addrs])
-    if pc_address is not None:
-        faddr = array("q", [pc_address(pc) for pc in pcs])
-    else:
-        faddr = array("q", [pc * 4 for pc in pcs])
-    return (
-        array("q", ocls), array("q", pcs), array("q", ctrls),
-        array("q", loads), array("q", stores), array("q", nops),
-        dest, ndeps, dep0, dep1, addr, faddr,
     )
 
 
@@ -192,7 +179,6 @@ class NativeProcessor:
         record_wakeup_pair = stats.record_wakeup_pair
         branch_predict = self.branch_unit.predict
         branch_resolve = self.branch_unit.resolve
-        pc_address = getattr(self.feed, "pc_address", None)
         design_bank = stats.design_bank
         sides = _SIDES
         if type(predictor) is LastArrivalPredictor:
@@ -265,27 +251,10 @@ class NativeProcessor:
             _RANK_BY_IDX, _POOL_BY_IDX, _NONPIPE_BY_IDX, self._lat_by_idx,
         )
 
-        # ---- decode columns ------------------------------------------
-        feed_ops = getattr(self.feed, "ops", None)
-        get_columns = getattr(self.feed, "columns", None)
-        if type(feed_ops) is list:
-            ops_l = feed_ops
-            cols = get_columns() if callable(get_columns) else None
-            if cols is None:
-                cols = decode_columns(ops_l)
-            native_cols = cols.get("native_cols")
-            if native_cols is None:
-                native_cols = _encode_columns(
-                    cols["pc"], cols["ctrl"], cols["load"], cols["store"],
-                    cols["nop"], cols["ocls"], cols["dest"], cols["deps"],
-                    cols["addr"], pc_address,
-                )
-                cols["native_cols"] = native_cols  # memoize w/ decode cache
-            feed_iter = None
-        else:
-            ops_l = []
-            native_cols = None
-            feed_iter = iter(self.feed)
+        # ---- the op stream ------------------------------------------
+        stream = stream_of(self.feed)
+        ops_l = stream.ops
+        next_chunk = count().__next__
 
         # ---- cold-path callbacks -------------------------------------
         predictions: dict[int, object] = {}
@@ -332,34 +301,12 @@ class NativeProcessor:
             stats.reset_window()
 
         def ingest_cb():
-            base = len(ops_l)
-            chunk = list(islice(feed_iter, _CHUNK))
-            if not chunk:
-                return None
-            for i, op in enumerate(chunk):
-                if op.seq != base + i:
-                    raise SimulationError(
-                        "native backend needs dense program-order seq "
-                        f"numbers (got {op.seq}, expected {base + i})"
-                    )
-            ops_l.extend(chunk)
-            return _encode_columns(
-                [op.pc for op in chunk],
-                [1 if op.is_control else 0 for op in chunk],
-                [1 if op.is_load else 0 for op in chunk],
-                [1 if op.is_store else 0 for op in chunk],
-                [1 if op.is_eliminated_nop else 0 for op in chunk],
-                [op.op_class.idx for op in chunk],
-                [op.dest for op in chunk],
-                [op.sched_deps for op in chunk],
-                [op.mem_addr for op in chunk],
-                pc_address,
-            )
+            return stream.chunk(next_chunk())
 
         # ---- run the compiled loop -----------------------------------
         status, now_c, total_committed, head_tag, s24, m12, sel4 = (
             _native.run(
-                scalars, fu_counts, geom, tables, p_tab, native_cols,
+                scalars, fu_counts, geom, tables, p_tab,
                 (predict_cb, resolve_cb, pair_cb, warmup_cb, ingest_cb),
                 max_insts, warmup,
             )

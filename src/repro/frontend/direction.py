@@ -6,6 +6,11 @@ All predictors follow the same two-call protocol::
     ...                       # later, when the branch resolves
     predictor.update(pc, actual_taken)
 
+Every table is a flat list of n-bit saturating counters (plain ints, the
+idiom of :class:`repro.core.last_arrival.LastArrivalPredictor`): a
+counter starts weakly taken, predicts taken in the upper half of its
+range and saturates at 0 and ``2**bits - 1``.
+
 The combined predictor (McFarling-style, as shipped in the Alpha 21264 and
 SimpleScalar) keeps both component predictions from the most recent
 ``predict`` internally so that ``update`` can train the selector.
@@ -16,86 +21,57 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 
 
-class SaturatingCounter:
-    """An n-bit saturating up/down counter.
-
-    The counter predicts "taken"/"strong" when in the upper half of its
-    range.  Used by direction predictors and by the last-arriving operand
-    predictor in ``repro.core.last_arrival``.
-    """
-
-    __slots__ = ("value", "maximum")
-
-    def __init__(self, bits: int = 2, initial: int | None = None):
-        if bits < 1:
-            raise ConfigurationError("counter needs at least one bit")
-        self.maximum = (1 << bits) - 1
-        # Default: weakly-taken (just above the midpoint).
-        self.value = (self.maximum + 1) // 2 if initial is None else initial
-
-    def increment(self) -> None:
-        if self.value < self.maximum:
-            self.value += 1
-
-    def decrement(self) -> None:
-        if self.value > 0:
-            self.value -= 1
-
-    def train(self, outcome: bool) -> None:
-        if outcome:
-            self.increment()
-        else:
-            self.decrement()
-
-    @property
-    def predict(self) -> bool:
-        return self.value > self.maximum // 2
-
-
-def _check_power_of_two(entries: int, what: str) -> None:
+def _counter_table(entries: int, bits: int, what: str) -> tuple[list[int], int, int]:
+    """A weakly-taken counter table, its maximum and its taken threshold."""
     if entries <= 0 or entries & (entries - 1):
         raise ConfigurationError(f"{what} table size must be a power of two")
+    if bits < 1:
+        raise ConfigurationError("counter needs at least one bit")
+    maximum = (1 << bits) - 1
+    mid = maximum // 2
+    return [mid + 1] * entries, maximum, mid
+
+
+def _train(table: list[int], index: int, maximum: int, up: bool) -> None:
+    value = table[index]
+    if up:
+        if value < maximum:
+            table[index] = value + 1
+    elif value > 0:
+        table[index] = value - 1
 
 
 class BimodalPredictor:
     """PC-indexed table of 2-bit saturating counters."""
 
     def __init__(self, entries: int = 4096, bits: int = 2):
-        _check_power_of_two(entries, "bimodal")
+        self._table, self._max, self._mid = _counter_table(entries, bits, "bimodal")
         self.entries = entries
         self._mask = entries - 1
-        self._table = [SaturatingCounter(bits) for _ in range(entries)]
-
-    def _index(self, pc: int) -> int:
-        return pc & self._mask
 
     def predict(self, pc: int) -> bool:
-        return self._table[self._index(pc)].predict
+        return self._table[pc & self._mask] > self._mid
 
     def update(self, pc: int, taken: bool) -> None:
-        self._table[self._index(pc)].train(taken)
+        _train(self._table, pc & self._mask, self._max, taken)
 
 
 class GSharePredictor:
     """Global-history predictor: PC XOR history indexes a counter table."""
 
     def __init__(self, entries: int = 4096, history_bits: int = 12, bits: int = 2):
-        _check_power_of_two(entries, "gshare")
+        self._table, self._max, self._mid = _counter_table(entries, bits, "gshare")
         self.entries = entries
         self._mask = entries - 1
         self._history_mask = (1 << history_bits) - 1
         self.history = 0
-        self._table = [SaturatingCounter(bits) for _ in range(entries)]
-
-    def _index(self, pc: int) -> int:
-        return (pc ^ self.history) & self._mask
 
     def predict(self, pc: int) -> bool:
-        return self._table[self._index(pc)].predict
+        return self._table[(pc ^ self.history) & self._mask] > self._mid
 
     def update(self, pc: int, taken: bool) -> None:
         """Train the counter, then shift the outcome into the history."""
-        self._table[self._index(pc)].train(taken)
+        _train(self._table, (pc ^ self.history) & self._mask, self._max, taken)
         self.history = ((self.history << 1) | int(taken)) & self._history_mask
 
 
@@ -114,15 +90,15 @@ class CombinedPredictor:
         selector_entries: int = 4096,
         history_bits: int = 12,
     ):
-        _check_power_of_two(selector_entries, "selector")
+        self._selector, self._selector_max, self._selector_mid = _counter_table(
+            selector_entries, 2, "selector"
+        )
+        self._selector_mask = selector_entries - 1
         self.bimodal = BimodalPredictor(bimodal_entries)
         self.gshare = GSharePredictor(gshare_entries, history_bits)
-        self._selector = [SaturatingCounter(2) for _ in range(selector_entries)]
-        self._selector_mask = selector_entries - 1
 
     def predict(self, pc: int) -> bool:
-        use_gshare = self._selector[pc & self._selector_mask].predict
-        if use_gshare:
+        if self._selector[pc & self._selector_mask] > self._selector_mid:
             return self.gshare.predict(pc)
         return self.bimodal.predict(pc)
 
@@ -130,6 +106,11 @@ class CombinedPredictor:
         bimodal_said = self.bimodal.predict(pc)
         gshare_said = self.gshare.predict(pc)
         if bimodal_said != gshare_said:
-            self._selector[pc & self._selector_mask].train(gshare_said == taken)
+            _train(
+                self._selector,
+                pc & self._selector_mask,
+                self._selector_max,
+                gshare_said == taken,
+            )
         self.bimodal.update(pc, taken)
         self.gshare.update(pc, taken)

@@ -2,7 +2,9 @@
 
 The model tracks tags only (no data), which is all a timing simulator needs.
 LRU is implemented with per-set ordered dictionaries: a hit moves the line to
-the MRU position, a fill evicts the LRU line.
+the MRU position, a fill evicts the LRU line.  A set's dictionary is created
+on its first access, so building a cache costs nothing per set (the native
+backend keeps its own cache state and only reads the geometry and counters).
 """
 
 from __future__ import annotations
@@ -71,9 +73,7 @@ class Cache:
         self.stats = CacheStats()
         self._line_shift = config.line_bytes.bit_length() - 1
         self._set_mask = config.num_sets - 1
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+        self._sets: list[OrderedDict[int, bool] | None] = [None] * config.num_sets
 
     # ------------------------------------------------------------------
     def line_address(self, addr: int) -> int:
@@ -82,7 +82,10 @@ class Cache:
 
     def _locate(self, addr: int) -> tuple[OrderedDict, int]:
         line = addr >> self._line_shift
-        return self._sets[line & self._set_mask], line
+        cache_set = self._sets[line & self._set_mask]
+        if cache_set is None:
+            cache_set = self._sets[line & self._set_mask] = OrderedDict()
+        return cache_set, line
 
     # ------------------------------------------------------------------
     def access(self, addr: int, write: bool = False) -> bool:
@@ -111,8 +114,7 @@ class Cache:
 
     def flush(self) -> None:
         """Empty the cache (statistics are preserved)."""
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._sets = [None] * len(self._sets)
 
     # ------------------------------------------------------------------
     def _fill(self, cache_set: OrderedDict, tag: int, dirty: bool) -> None:
@@ -124,7 +126,7 @@ class Cache:
     @property
     def resident_lines(self) -> int:
         """Number of valid lines currently in the cache."""
-        return sum(len(cache_set) for cache_set in self._sets)
+        return sum(len(cache_set) for cache_set in self._sets if cache_set)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         cfg = self.config

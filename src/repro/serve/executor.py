@@ -17,9 +17,11 @@ routes them onto the existing analysis machinery:
   requested configuration matrix.
 * ``trace`` jobs replay a binary tracefile (:mod:`repro.trace`) — full
   runs produce the same versioned stats export as ``run`` jobs; sampled
-  runs produce the SimPoint-style sampling report.  Decoded feeds are
-  memoized per content hash, so many jobs against one trace decode it
-  once per worker process.
+  runs produce the SimPoint-style sampling report.  The decoded feed is
+  kept in the process's one-entry feed memo under its content hash
+  (:func:`repro.trace.shared_corpus_feed`), and batches run their trace
+  jobs grouped by trace, so many jobs against one trace decode it once
+  while a long-lived worker never holds more than one decoded feed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import threading
 
 from repro.analysis.cache import ResultCache
+from repro.analysis.parallel import group_by_feed
 from repro.analysis.runner import ExperimentRunner
 from repro.fastsim import apply_backend
 from repro.obs.export import build_stats_export
@@ -48,8 +51,6 @@ class JobExecutor:
         #: None resolves via REPRO_JOBS / CPU count at dispatch time.
         self.jobs = jobs
         self._runners: dict[tuple[int, int], ExperimentRunner] = {}
-        #: decoded trace feeds, memoized by content hash
-        self._feeds: dict[str, object] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -98,7 +99,9 @@ class JobExecutor:
         via :meth:`~repro.analysis.runner.ExperimentRunner.prefetch`, so
         their cache misses fan out together over the warm worker pool
         and the per-spec ``execute`` calls below are pure memo lookups
-        plus document builds.  Cache hits never reach the pool.
+        plus document builds.  Cache hits never reach the pool.  Specs
+        then execute grouped by trace, so the one-entry feed memo decodes
+        each trace of the batch once.
         """
         groups: dict[tuple[int, int], list[RunSpec]] = {}
         for spec in specs:
@@ -117,13 +120,17 @@ class JobExecutor:
                 self.runner_for(insts, warmup).prefetch(requests)
             except Exception:  # noqa: BLE001 - surfaced per-spec below
                 pass
-        outcomes: list[dict | Exception] = []
-        for spec in specs:
+        outcomes: list[dict | Exception | None] = [None] * len(specs)
+        keys = [
+            spec.content_hash if isinstance(spec, TraceSpec) else None
+            for spec in specs
+        ]
+        for index in group_by_feed(keys):
             try:
-                outcomes.append(self.execute(spec))
+                outcomes[index] = self.execute(specs[index])
             except Exception as error:  # noqa: BLE001 - settled per job
-                outcomes.append(error)
-        return outcomes
+                outcomes[index] = error
+        return outcomes  # type: ignore[return-value]
 
     def _execute_run(self, spec: RunSpec) -> dict:
         runner = self.runner_for(spec.insts, spec.warmup)
@@ -143,30 +150,11 @@ class JobExecutor:
         )
         return {"kind": "run", "stats": document}
 
-    def _trace_feed(self, spec: TraceSpec):
-        """The decoded feed for a trace spec, memoized by content hash."""
-        # Deferred: the trace stack is needed only by trace jobs.
-        from repro.trace import TraceFormatError, load_corpus_feed
-
-        with self._lock:
-            feed = self._feeds.get(spec.content_hash)
-        if feed is not None:
-            return feed
-        feed = load_corpus_feed(spec.trace)
-        if feed.content_hash != spec.content_hash:
-            raise TraceFormatError(
-                f"trace {spec.trace!r} has content hash "
-                f"{feed.content_hash[:12]}…, but the job was submitted for "
-                f"{spec.content_hash[:12]}… (stale reference?)"
-            )
-        with self._lock:
-            return self._feeds.setdefault(spec.content_hash, feed)
-
     def _execute_trace(self, spec: TraceSpec) -> dict:
-        from repro.trace import run_full, run_sampled, trace_token
+        from repro.trace import run_full, run_sampled, shared_corpus_feed, trace_token
         from repro.trace.run import TRACE_SEED
 
-        feed = self._trace_feed(spec)
+        feed = shared_corpus_feed(spec.trace, spec.content_hash)
         # Materialized for the same reason as run jobs: the exported
         # fingerprint must match what actually executed under a
         # server-side REPRO_BACKEND override.

@@ -58,6 +58,15 @@ def _default_batch() -> int:
 
 #: Long-poll waits are capped so a drain is never held hostage.
 MAX_LONGPOLL_S = 30.0
+
+#: A request's head and body must arrive within this many seconds of
+#: the connection opening, else 408: a client that stalls mid-request
+#: cannot hold a connection forever.
+REQUEST_DEADLINE_S = 10.0
+#: Header lines accepted per request, and the longest request or header
+#: line in bytes; beyond either, 431.
+MAX_HEADERS = 100
+MAX_LINE_BYTES = 8192
 _LONGPOLL_SLICE_S = 0.25
 
 _JSON_HEADERS = "Content-Type: application/json\r\n"
@@ -86,14 +95,20 @@ class _HttpError(Exception):
         self.payload = payload or {}
 
 
+class _RequestTimeout(Exception):
+    """Internal: the request deadline passed mid-read."""
+
+
 _REASONS = {
     200: "OK",
     202: "Accepted",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -114,8 +129,37 @@ def _encode_response(status: int, payload: dict, extra_headers: dict | None = No
 
 
 async def _read_request(reader: asyncio.StreamReader):
-    """Parse one HTTP/1.1 request: (method, path, query, body-bytes)."""
-    request_line = await reader.readline()
+    """Parse one HTTP/1.1 request: (method, path, query, body-bytes).
+
+    The whole request must arrive within :data:`REQUEST_DEADLINE_S`
+    (else 408), with at most :data:`MAX_HEADERS` header lines of at most
+    :data:`MAX_LINE_BYTES` each (else 431).
+    """
+    # A timer that fails the pending read, rather than wait_for: no extra
+    # task per request on the hot path.
+    timer = asyncio.get_running_loop().call_later(
+        REQUEST_DEADLINE_S, reader.set_exception, _RequestTimeout()
+    )
+    try:
+        return await _parse_request(reader)
+    except _RequestTimeout:
+        raise _HttpError(408, "request not received in time") from None
+    finally:
+        timer.cancel()
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        raw = await reader.readline()
+    except ValueError:  # longer than the stream's buffer limit
+        raw = None
+    if raw is None or len(raw) > MAX_LINE_BYTES:
+        raise _HttpError(431, f"request line or header over {MAX_LINE_BYTES} bytes")
+    return raw
+
+
+async def _parse_request(reader: asyncio.StreamReader):
+    request_line = await _read_line(reader)
     if not request_line:
         return None
     try:
@@ -123,12 +167,14 @@ async def _read_request(reader: asyncio.StreamReader):
     except ValueError:
         raise _HttpError(400, "malformed request line") from None
     headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
+    for _ in range(MAX_HEADERS + 1):
+        raw = await _read_line(reader)
         if raw in (b"\r\n", b"\n", b""):
             break
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    else:
+        raise _HttpError(431, f"more than {MAX_HEADERS} header lines")
     try:
         length = int(headers.get("content-length", "0") or "0")
     except ValueError:

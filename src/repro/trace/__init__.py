@@ -35,6 +35,7 @@ from repro.trace.corpus import (
     corpus_path,
     load_corpus_feed,
     resolve_trace,
+    shared_corpus_feed,
 )
 from repro.trace.feed import TraceFeed, trace_info, trace_token
 from repro.trace.format import (
@@ -97,6 +98,7 @@ __all__ = [
     "run_full",
     "run_sampled",
     "sampled_fingerprint",
+    "shared_corpus_feed",
     "simulate_sampled",
     "trace_fingerprint",
     "trace_info",

@@ -24,6 +24,7 @@ from pathlib import Path
 from repro.trace.capture import capture_kernel
 from repro.trace.feed import TraceFeed, trace_info
 from repro.trace.format import TraceFormatError, read_header
+from repro.workloads.stream import FEED_MEMO
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,28 @@ def resolve_trace(ref: str) -> Path:
 def load_corpus_feed(ref: str, *, limit: int | None = None) -> TraceFeed:
     """TraceFeed for a corpus name or tracefile path."""
     return TraceFeed(resolve_trace(ref), limit=limit)
+
+
+def shared_corpus_feed(ref: str, content_hash: str) -> TraceFeed:
+    """The decoded feed of *ref*, checked against *content_hash*.
+
+    Held in the process's one-entry feed memo
+    (:data:`repro.workloads.stream.FEED_MEMO`) under
+    ``("trace", content_hash)``, so consecutive jobs on one trace decode
+    it once and a long-lived process holds at most one decoded feed.
+    """
+
+    def load() -> TraceFeed:
+        feed = load_corpus_feed(ref)
+        if feed.content_hash != content_hash:
+            raise TraceFormatError(
+                f"trace {ref!r} has content hash {feed.content_hash[:12]}…, "
+                f"but the job was submitted for {content_hash[:12]}… "
+                "(stale reference?)"
+            )
+        return feed
+
+    return FEED_MEMO.get(("trace", content_hash), load)
 
 
 def corpus_listing() -> list[dict]:

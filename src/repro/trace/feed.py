@@ -2,9 +2,9 @@
 
 A :class:`TraceFeed` is a :class:`~repro.workloads.feed.ReplayFeed` whose
 ops come from a tracefile on disk, so it flows through both cycle-loop
-backends (python/native) unchanged — the native engine picks up the
-materialized ``ops`` list and cached ``columns()`` exactly as it does for
-any replay feed, and stats come out bit-identical.
+backends (python/native) unchanged — the native engine reads the
+materialized ``ops`` list through the feed's cached stream exactly as it
+does for any replay feed, and stats come out bit-identical.
 
 Identity is the header's ``trace_sha256`` content hash: cache fingerprints
 and serve-job routing key on :attr:`content_hash`, never on the filesystem

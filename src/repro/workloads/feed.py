@@ -94,13 +94,14 @@ def decode_columns(ops: list[DynOp]) -> dict:
 
 
 class ReplayFeed:
-    """Reusable pre-materialized stream with a decode cache.
+    """Reusable pre-materialized stream.
 
     Wraps a list of :class:`DynOp` in program order.  Iterating replays the
     list, so any backend accepts it like a regular stream; the native
-    backend additionally recognizes the materialized ``ops`` list and the
-    :meth:`columns` decode cache, making this the "decode once, simulate
-    many" feed for benchmarks, sweeps and serve traffic.
+    backend reads the materialized ``ops`` list through one stream cached
+    on the feed (:func:`repro.workloads.stream.stream_of`), encoding it
+    once however many runs replay it.  :meth:`columns` decodes the static
+    per-instruction facts into flat lists for tools that want them.
 
     ``pc_address`` must be forwarded from the source feed when that feed
     defines one (the instruction-cache access pattern depends on it).
@@ -112,6 +113,8 @@ class ReplayFeed:
         if pc_address is not None:
             self.pc_address = pc_address
         self._columns: dict | None = None
+        #: the native backend's stream over ``ops`` (set by ``stream_of``)
+        self._stream = None
 
     @classmethod
     def from_stream(

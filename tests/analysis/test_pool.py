@@ -117,6 +117,89 @@ class TestOrderAndParity:
         assert metrics["pool.feed_memo_hits"] == 3
 
 
+class TestFeedMemo:
+    """Workers keep one feed, and grouping makes one enough."""
+
+    @staticmethod
+    def _grid(order: str, seed_base: int) -> list:
+        from repro.pipeline.config import EIGHT_WIDE, RegFileModel, SchedulerModel
+        from repro.workloads.profiles import SPEC_BENCHMARKS
+
+        configs = [
+            base.with_techniques(scheduler=scheduler, regfile=regfile)
+            for base in (FOUR_WIDE, EIGHT_WIDE)
+            for scheduler in (SchedulerModel.BASE, SchedulerModel.SEQ_WAKEUP)
+            for regfile in (RegFileModel.BASE, RegFileModel.SEQUENTIAL)
+        ]
+        if order == "benchmark-major":
+            return [
+                Job(benchmark, config, seed_base, 200, 100)
+                for benchmark in SPEC_BENCHMARKS
+                for config in configs
+            ]
+        # export_stats order: seeds interleave inside each config.
+        return [
+            Job(benchmark, config, seed_base + seed, 200, 100)
+            for benchmark in SPEC_BENCHMARKS[:6]
+            for config in configs
+            for seed in (0, 1)
+        ]
+
+    @pytest.mark.parametrize("order", ["benchmark-major", "seed-interleaved"])
+    def test_grid_loads_each_stream_about_once(self, pool, order):
+        # The first dispatch chunks by worker share; the second by the
+        # measured per-job cost.  Both must keep stream groups together.
+        for seed_base in (100, 200):
+            jobs = self._grid(order, seed_base)
+            assert len(jobs) == 96
+            before = pool.registry.as_dict()
+            results = pool.run(jobs)
+            after = pool.registry.as_dict()
+            loads = after["pool.stream_loads"] - before.get("pool.stream_loads", 0)
+            hits = after["pool.stream_memo_hits"] - before.get("pool.stream_memo_hits", 0)
+            assert loads + hits == 96
+            assert loads <= 24, (order, seed_base, loads)
+        for job, result in list(zip(jobs, results))[::17]:
+            assert serialize_result(result) == serialize_result(execute_job(job))
+
+    def test_chunks_split_a_group_only_past_one_worker_share(self, pool):
+        pool._ensure_started()
+        pool._ewma_job_s = 0.040 / 3  # cost target: 3 jobs per chunk
+        tasks = [pool._descriptor(i, job) for i, job in enumerate(self._grid("benchmark-major", 1))]
+        chunks = pool._chunk_tasks(tasks)
+        for chunk in chunks:
+            assert len({(t[2], t[4]) for t in chunk.tasks}) == 1
+        assert sum(len(chunk.tasks) for chunk in chunks) == 96
+        many = [pool._descriptor(i, Job("gzip", FOUR_WIDE, 1, 10, 0)) for i in range(30)]
+        pieces = [len(chunk.tasks) for chunk in pool._chunk_tasks(many)]
+        assert pieces == [15, 15]  # one stream, two workers: split in half
+
+    def test_trace_worker_holds_one_decoded_feed(self):
+        from repro.trace import load_corpus_feed
+
+        names = ("vector_sum_80k", "hash_probe_71k", "strsearch_76k")
+        hashes = {name: load_corpus_feed(name).content_hash for name in names}
+
+        def job(name):
+            return TraceJob(name, hashes[name], FOUR_WIDE, 300, 0)
+
+        instance = WorkerPool(1, idle_s=0)
+        try:
+            # Three traces in turn, interleaved: grouped, each decodes once
+            # and its second job hits.
+            instance.run([job(name) for name in names] * 2)
+            metrics = instance.registry.as_dict()
+            assert metrics["pool.feed_loads"] == 3
+            assert metrics["pool.feed_memo_hits"] == 3
+            # The worker kept only the last trace: the first decodes again.
+            instance.run([job("strsearch_76k"), job("vector_sum_80k")])
+            metrics = instance.registry.as_dict()
+            assert metrics["pool.feed_memo_hits"] == 4
+            assert metrics["pool.feed_loads"] == 4
+        finally:
+            instance.close()
+
+
 class TestExceptions:
     def test_first_failure_raised_in_submission_order(self, pool):
         jobs = [

@@ -84,14 +84,14 @@ def test_parity_with_warmup_and_shadow_bank():
 
 @requires_native
 def test_emulator_feed_parity():
-    """The generator ingest path (no decoded columns) is also bit-exact."""
+    """A plain generator feed (read through a private stream) is bit-exact."""
     program = kernel_program("pointer_chase")
     _assert_parity(lambda: EmulatorFeed(program, name="pointer_chase"), FOUR_WIDE)
 
 
 @requires_native
 def test_replay_feed_decoded_columns_parity():
-    """Pre-decoded ReplayFeed (the fast path) matches the reference too."""
+    """A materialized ReplayFeed (one cached stream) matches the reference too."""
     workload = SyntheticWorkload(get_profile("vortex"), seed=5)
     feed = ReplayFeed.from_stream(workload, 1_600)
     feed.columns()

@@ -9,47 +9,93 @@ from repro.frontend.direction import (
     BimodalPredictor,
     CombinedPredictor,
     GSharePredictor,
-    SaturatingCounter,
 )
 
 
-class TestSaturatingCounter:
+class TestCounterTables:
+    """The flat 2-bit saturating-counter tables behind every predictor."""
+
     def test_initial_weakly_taken(self):
-        assert SaturatingCounter(2).value == 2
+        for predictor in (BimodalPredictor(64), GSharePredictor(64, 4)):
+            assert set(predictor._table) == {2}
+            assert predictor.predict(5) is True
+        assert set(CombinedPredictor(64, 64, 64)._selector) == {2}
 
     def test_saturates_high(self):
-        counter = SaturatingCounter(2)
+        predictor = BimodalPredictor(64)
         for _ in range(10):
-            counter.increment()
-        assert counter.value == 3
+            predictor.update(9, True)
+        assert predictor._table[9] == 3
 
     def test_saturates_low(self):
-        counter = SaturatingCounter(2)
+        predictor = BimodalPredictor(64)
         for _ in range(10):
-            counter.decrement()
-        assert counter.value == 0
+            predictor.update(9, False)
+        assert predictor._table[9] == 0
 
     def test_predict_threshold(self):
-        counter = SaturatingCounter(2, initial=1)
-        assert not counter.predict
-        counter.increment()
-        assert counter.predict
+        predictor = BimodalPredictor(64)
+        predictor.update(9, False)
+        assert predictor._table[9] == 1
+        assert predictor.predict(9) is False
+        predictor.update(9, True)
+        assert predictor.predict(9) is True
 
     def test_train(self):
-        counter = SaturatingCounter(2, initial=0)
-        counter.train(True)
-        counter.train(True)
-        assert counter.predict
+        predictor = BimodalPredictor(64)
+        for _ in range(2):
+            predictor.update(9, False)
+        predictor.update(9, True)
+        predictor.update(9, True)
+        assert predictor.predict(9) is True
 
     def test_zero_bits_rejected(self):
         with pytest.raises(ConfigurationError):
-            SaturatingCounter(0)
+            BimodalPredictor(64, bits=0)
+        with pytest.raises(ConfigurationError):
+            GSharePredictor(64, bits=0)
 
     def test_hysteresis(self):
         """A strong counter survives one contrary outcome."""
-        counter = SaturatingCounter(2, initial=3)
-        counter.train(False)
-        assert counter.predict
+        predictor = BimodalPredictor(64)
+        predictor.update(9, True)
+        predictor.update(9, False)
+        assert predictor.predict(9) is True
+
+    def test_only_the_indexed_counter_moves(self):
+        predictor = BimodalPredictor(64)
+        predictor.update(9, False)
+        assert [i for i, v in enumerate(predictor._table) if v != 2] == [9]
+
+    def test_selector_trains_only_on_disagreement(self):
+        combined = CombinedPredictor(64, 64, 64, history_bits=4)
+        # Both components start weakly taken: they agree, so a taken
+        # outcome leaves the selector alone.
+        combined.update(3, True)
+        assert combined._selector[3] == 2
+        # Drive bimodal to not-taken while gshare (history now 0b1) is
+        # still weakly taken at its new index: they disagree, and the
+        # selector moves toward the component that was right.
+        combined.bimodal._table[3] = 0
+        assert combined.bimodal.predict(3) is False
+        assert combined.gshare.predict(3) is True
+        combined.update(3, True)
+        assert combined._selector[3] == 3
+        combined.bimodal._table[3] = 0
+        combined.gshare._table[(3 ^ combined.gshare.history) & 63] = 3
+        combined.update(3, False)
+        assert combined._selector[3] == 2
+
+    def test_gshare_history_shifts_after_training(self):
+        """The counter trained is the one the *old* history indexed."""
+        predictor = GSharePredictor(64, history_bits=4)
+        predictor.update(1, True)
+        assert predictor.history == 0b1
+        assert predictor._table[1] == 3  # index 1 ^ 0, trained before the shift
+        predictor.update(1, False)
+        assert predictor.history == 0b10
+        assert predictor._table[1 ^ 0b1] == 1  # old history 0b1 indexed it
+        assert predictor._table[1] == 3
 
 
 class TestBimodal:

@@ -36,11 +36,46 @@ class TestExecutor:
         assert report["content_hash"] == spec.content_hash
 
     def test_feed_is_memoized_per_content_hash(self, fresh_executor, small_trace):
+        from repro.trace import shared_corpus_feed
+        from repro.workloads.stream import FEED_MEMO
+
         spec = parse_spec({"kind": "trace", "trace": str(small_trace)})
         fresh_executor.execute(spec)
-        feed = fresh_executor._feeds[spec.content_hash]
+        feed = shared_corpus_feed(spec.trace, spec.content_hash)
+        loads = FEED_MEMO.counts.get("trace_loads", 0)
         fresh_executor.execute(spec)
-        assert fresh_executor._feeds[spec.content_hash] is feed
+        assert shared_corpus_feed(spec.trace, spec.content_hash) is feed
+        assert FEED_MEMO.counts.get("trace_loads", 0) == loads
+
+    def test_executor_holds_one_decoded_feed(self, fresh_executor):
+        from repro.workloads.stream import FEED_MEMO
+
+        names = ("vector_sum_80k", "hash_probe_71k", "strsearch_76k")
+        specs = {
+            name: parse_spec({"kind": "trace", "trace": name, "insts": 300})
+            for name in names
+        }
+        FEED_MEMO.clear()
+        before = dict(FEED_MEMO.counts)
+
+        def delta(name):
+            return FEED_MEMO.counts.get(name, 0) - before.get(name, 0)
+
+        for name in names:
+            fresh_executor.execute(specs[name])
+            assert FEED_MEMO.held() == 1
+        assert delta("trace_loads") == 3
+        # Same-trace jobs still hit the held feed...
+        fresh_executor.execute(specs["strsearch_76k"])
+        assert (delta("trace_loads"), delta("trace_hits")) == (3, 1)
+        # ...and a batch runs its trace jobs grouped, so an interleaved
+        # batch decodes each trace once.
+        batch = [specs["vector_sum_80k"], specs["hash_probe_71k"]] * 2
+        outcomes = fresh_executor.execute_batch(batch)
+        assert all(isinstance(outcome, dict) for outcome in outcomes)
+        assert outcomes[0] == outcomes[2] and outcomes[1] == outcomes[3]
+        assert (delta("trace_loads"), delta("trace_hits")) == (5, 3)
+        assert FEED_MEMO.held() == 1
 
     def test_stale_hash_fails_loudly(self, fresh_executor, small_trace):
         from repro.trace import TraceFormatError
