@@ -260,6 +260,18 @@ class ExperimentRunner:
                 )
         return len(pending)
 
+    def forget(self, requests: list[tuple[str, MachineConfig, int, bool]]) -> None:
+        """Drop the memo entries of ``(benchmark, config, seed, shadow)`` requests.
+
+        For a long-lived caller that is done with these results (a serve
+        worker, once it has built their documents): the memo would
+        otherwise keep every result the runner ever computed.  Later
+        requests go back to the disk cache.  Entries already dropped are
+        ignored.
+        """
+        for benchmark, config, seed, shadow in requests:
+            self._results.pop(self._key(benchmark, apply_backend(config), seed, shadow), None)
+
     def prefetch_base(self, workers: int | None = None) -> int:
         """Warm every base-machine run the standard figures lean on."""
         requests: list[tuple[str, MachineConfig, int, bool]] = []

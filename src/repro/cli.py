@@ -556,78 +556,66 @@ def _trace_spec_from_args(args, ref: str) -> dict:
 
 
 def _cmd_serve(args) -> int:
+    from repro.serve.server import run_server
+
     if args.router and args.worker:
         print("error: --router and --worker are mutually exclusive", file=sys.stderr)
         return 2
     if args.router:
-        return _cmd_serve_router(args)
-    from repro.analysis.cache import ResultCache
-    from repro.serve.executor import JobExecutor
-    from repro.serve.server import ServeServer, run_server
+        from repro.serve.router import RouterServer
 
-    if args.no_cache:
-        cache: ResultCache | bool = False
-    elif args.store is not None:
-        cache = ResultCache(directory=args.store)
-    else:
-        cache = True
-    server = ServeServer(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_size=args.queue_size,
-        spool=args.spool,
-        executor=JobExecutor(cache=cache),
-        name=args.name,
-        batch=args.batch,
-    )
-    role = "worker" if args.worker else "serving"
-
-    def announce(started: ServeServer) -> None:
-        label = f" [{started.name}]" if started.name else ""
-        print(f"{role}{label} on http://{started.host}:{started.port}", flush=True)
-        if started.recovered:
-            print(f"recovered {started.recovered} pending job(s) from {args.spool}", flush=True)
-
-    code = run_server(server, announce=announce)
-    pending = len(server.table.pending())
-    completed = server.registry.get("serve.completed")
-    print(
-        f"drained: {completed.value if completed else 0} job(s) completed, "
-        f"{pending} persisted for restart",
-        flush=True,
-    )
-    return code
-
-
-def _cmd_serve_router(args) -> int:
-    from repro.serve.router import RouterServer, run_router
-
-    if not args.worker_url:
-        print(
-            "error: --router needs at least one --worker-url "
-            "(workers can also register at runtime via /v1/workers/register)",
-            file=sys.stderr,
+        if not args.worker_url:
+            print(
+                "error: --router needs at least one --worker-url "
+                "(workers can also register at runtime via /v1/workers/register)",
+                file=sys.stderr,
+            )
+            return 2
+        front_end = RouterServer(
+            host=args.host,
+            port=args.port,
+            workers=args.worker_url,
+            spool=args.spool,
+            queue_size=args.queue_size,
+            steal_watermark=args.steal_watermark,
         )
-        return 2
-    router = RouterServer(
-        host=args.host,
-        port=args.port,
-        workers=args.worker_url,
-        spool=args.spool,
-        queue_size=args.queue_size,
-        steal_watermark=args.steal_watermark,
-    )
+    else:
+        from repro.analysis.cache import ResultCache
+        from repro.serve.executor import JobExecutor
+        from repro.serve.server import ServeServer
 
-    def announce(started: RouterServer) -> None:
-        print(f"routing on http://{started.host}:{started.port}", flush=True)
-        print(f"workers: {', '.join(started.ring.nodes())}", flush=True)
+        if args.no_cache:
+            cache: ResultCache | bool = False
+        elif args.store is not None:
+            cache = ResultCache(directory=args.store)
+        else:
+            cache = True
+        front_end = ServeServer(
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            queue_size=args.queue_size,
+            spool=args.spool,
+            executor=JobExecutor(cache=cache),
+            name=args.name,
+            batch=args.batch,
+        )
+
+    def announce(started) -> None:
+        url = f"http://{started.host}:{started.port}"
+        if args.router:
+            print(f"routing on {url}", flush=True)
+            print(f"workers: {', '.join(started.ring.nodes())}", flush=True)
+        else:
+            role = "worker" if args.worker else "serving"
+            label = f" [{started.name}]" if started.name else ""
+            print(f"{role}{label} on {url}", flush=True)
         if started.recovered:
             print(f"recovered {started.recovered} pending job(s) from {args.spool}", flush=True)
 
-    code = run_router(router, announce=announce)
-    pending = len(router.table.pending())
-    completed = router.registry.get("router.completed")
+    code = run_server(front_end, announce=announce)
+    pending = len(front_end.table.pending())
+    completed = front_end.registry.get(f"{front_end.role}.completed")
     print(
         f"drained: {completed.value if completed else 0} job(s) completed, "
         f"{pending} persisted for restart",

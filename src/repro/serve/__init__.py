@@ -13,9 +13,13 @@ inference-style service (docs/SERVING.md):
 * :mod:`repro.serve.executor` — spec execution on worker threads through
   the shared :class:`~repro.analysis.runner.ExperimentRunner` machinery
   (memo, disk cache, process-local singleflight);
-* :mod:`repro.serve.server` — the asyncio HTTP server: bounded priority
-  queue, 429 + ``Retry-After`` backpressure, ``/metrics``, graceful
-  SIGTERM drain;
+* :mod:`repro.serve.server` — the asyncio HTTP front end (one request
+  parser, job table, 429 + ``Retry-After`` backpressure, ``/metrics``,
+  graceful SIGTERM drain) and :class:`ServeServer`, which dispatches to
+  a bounded priority queue of local worker tasks;
+* :mod:`repro.serve.router` — the cluster router: the same front end
+  dispatching by consistent hash onto ``repro serve --worker``
+  processes, with health probes, job stealing and re-dispatch;
 * :mod:`repro.serve.client` — the client SDK: jittered-exponential
   retries, Retry-After compliance, idempotent resubmission, long-poll
   waiting.

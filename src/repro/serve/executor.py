@@ -101,12 +101,14 @@ class JobExecutor:
         and the per-spec ``execute`` calls below are pure memo lookups
         plus document builds.  Cache hits never reach the pool.  Specs
         then execute grouped by trace, so the one-entry feed memo decodes
-        each trace of the batch once.
+        each trace of the batch once.  The batch's memo entries are
+        dropped once its documents are built.
         """
         groups: dict[tuple[int, int], list[RunSpec]] = {}
         for spec in specs:
             if isinstance(spec, RunSpec):
                 groups.setdefault((spec.insts, spec.warmup), []).append(spec)
+        prefetched = []
         for (insts, warmup), members in groups.items():
             requests = []
             for spec in members:
@@ -116,8 +118,10 @@ class JobExecutor:
                     )
                 except Exception:  # noqa: BLE001 - surfaced per-spec below
                     pass
+            runner = self.runner_for(insts, warmup)
+            prefetched.append((runner, requests))
             try:
-                self.runner_for(insts, warmup).prefetch(requests)
+                runner.prefetch(requests)
             except Exception:  # noqa: BLE001 - surfaced per-spec below
                 pass
         outcomes: list[dict | Exception | None] = [None] * len(specs)
@@ -130,6 +134,9 @@ class JobExecutor:
                 outcomes[index] = self.execute(specs[index])
             except Exception as error:  # noqa: BLE001 - settled per job
                 outcomes[index] = error
+        # The documents are built: a long-lived worker keeps no results.
+        for runner, requests in prefetched:
+            runner.forget(requests)
         return outcomes  # type: ignore[return-value]
 
     def _execute_run(self, spec: RunSpec) -> dict:

@@ -36,28 +36,22 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import signal
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from repro.analysis.parallel import env_int
 from repro.obs.registry import MetricsRegistry
-from repro.serve.jobs import Job, JobTable, SpoolJournal
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    QUEUED,
-    ProtocolError,
-    parse_batch,
-)
+from repro.serve.jobs import Job
+from repro.serve.protocol import QUEUED
 from repro.serve.ring import HashRing
 from repro.serve.server import (
-    MAX_LONGPOLL_S,
+    BackgroundServer,
+    FrontEnd,
+    _default_batch,
     _encode_response,
     _HttpError,
-    _read_request,
+    _parse_json,
 )
 
 #: Router defaults (all overridable per instance).
@@ -67,7 +61,6 @@ DEFAULT_HEALTH_INTERVAL_S = 1.0
 DEFAULT_HEALTH_FAILURES = 3
 #: Long-poll slice a watcher asks its worker for per round trip.
 WATCH_POLL_S = 10.0
-_LONGPOLL_SLICE_S = 0.25
 
 
 # ----------------------------------------------------------------------
@@ -149,8 +142,14 @@ class WorkerHandle:
         }
 
 
-class RouterServer:
-    """HTTP front door that shards jobs onto serve workers by fingerprint."""
+class RouterServer(FrontEnd):
+    """The shared front end over a hash ring of serve workers.
+
+    Admitted primaries are placed on workers by fingerprint and watched
+    to completion; the router itself simulates nothing.
+    """
+
+    role = "router"
 
     def __init__(
         self,
@@ -165,33 +164,21 @@ class RouterServer:
         health_failures: int = DEFAULT_HEALTH_FAILURES,
         watch_poll_s: float = WATCH_POLL_S,
     ):
-        self.host = host
-        self.port = port
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.queue_size = queue_size
+        super().__init__(host, port, queue_size, spool, registry)
         self.steal_watermark = steal_watermark
         self.health_interval_s = health_interval_s
         self.health_failures = health_failures
         self.watch_poll_s = watch_poll_s
-        self.table = JobTable()
-        self.journal = SpoolJournal(spool) if spool is not None else None
         self.ring = HashRing()
         self.workers: dict[str, WorkerHandle] = {}
         for url in workers:
             self._add_worker(url)
-        self._pending_primaries = 0
-        self._draining = False
-        self._drained = asyncio.Event()
-        self._server: asyncio.base_events.Server | None = None
-        self._dispatchers: set[asyncio.Task] = set()
         #: batched dispatch: per-worker buffers of (job, future) waiting
         #: to ride one POST, and the workers with an active flusher.
         self._dispatch_buffers: dict[str, list] = {}
         self._flushing: set[str] = set()
-        self.dispatch_batch = max(1, env_int("REPRO_POOL_BATCH", 8))
+        self.dispatch_batch = _default_batch()
         self._health_task: asyncio.Task | None = None
-        self._started_at = time.time()
-        self.recovered = 0
 
     # ------------------------------------------------------------------
     # worker set
@@ -237,69 +224,46 @@ class RouterServer:
         return best, stolen
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # front-end hooks
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        self._recover()
-        self._server = await asyncio.start_server(self._handle_connection, self.host, self.port)
-        sockets = self._server.sockets or ()
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
-        self._health_task = asyncio.create_task(self._health_loop(), name="router-health")
+    def _launch(self) -> None:
+        self._health_task = self._spawn(self._health_loop(), "router-health")
 
-    def _recover(self) -> None:
-        if self.journal is None:
-            return
-        for job_id, spec in self.journal.recover():
-            job, coalesced = self.table.submit(spec, job_id=job_id)
-            if not coalesced:
-                self._start_dispatch(job)
-            self.recovered += 1
-        self.table.reserve_next_id(self.journal.next_id)
-        if self.recovered:
-            self.registry.counter("router.recovered").inc(self.recovered)
-        self.journal.compact(self.table.pending(), next_id=self.table.next_id)
-
-    async def drain(self) -> None:
-        """Graceful shutdown: finish watched jobs, persist the rest."""
-        if self._draining:
-            await self._drained.wait()
-            return
-        self._draining = True
+    def _stop_dispatching(self) -> None:
+        # Only the probe needs stopping: dispatchers and watchers see the
+        # drain flag and return, leaving their jobs pending for the journal.
         if self._health_task is not None:
             self._health_task.cancel()
-            await asyncio.gather(self._health_task, return_exceptions=True)
-        if self._dispatchers:
-            await asyncio.gather(*self._dispatchers, return_exceptions=True)
-        if self.journal is not None:
-            self.journal.compact(self.table.pending(), next_id=self.table.next_id)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        self._drained.set()
 
-    async def abort(self) -> None:
-        """Hard stop (simulated crash): no compaction, no settling."""
-        self._draining = True
-        tasks = list(self._dispatchers)
-        if self._health_task is not None:
-            tasks.append(self._health_task)
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        self._drained.set()
+    def _retry_after(self) -> int:
+        workers = max(1, len(self._routable()))
+        return max(1, min(60, self._primaries // workers))
 
-    async def run_until_signalled(self) -> None:
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError, RuntimeError):
-                loop.add_signal_handler(signum, stop.set)
-        await stop.wait()
-        await self.drain()
+    def _health(self) -> dict:
+        return {"role": "router", "workers": len(self._routable())}
+
+    def _workers_listing(self) -> list[dict]:
+        return [w.public() for w in sorted(self.workers.values(), key=lambda w: w.url)]
+
+    def _metrics_section(self) -> dict:
+        return {"steal_watermark": self.steal_watermark, "workers": self._workers_listing()}
+
+    def _extra_route(self, method: str, path: str, body: bytes) -> bytes | None:
+        if path == "/v1/workers" and method == "GET":
+            return _encode_response(200, {"workers": self._workers_listing()})
+        if path == "/v1/workers/register" and method == "POST":
+            return self._register_worker(body)
+        return None
+
+    def _register_worker(self, body: bytes) -> bytes:
+        payload = _parse_json(body)
+        if not isinstance(payload, dict) or not isinstance(payload.get("url"), str):
+            raise _HttpError(400, "register body must be {'url': ..., 'name'?: ...}")
+        name = payload.get("name")
+        if name is not None and not isinstance(name, str):
+            raise _HttpError(400, "name must be a string")
+        handle = self._add_worker(payload["url"], name=name)
+        return _encode_response(200, {"registered": handle.public()})
 
     # ------------------------------------------------------------------
     # health monitoring
@@ -318,10 +282,7 @@ class RouterServer:
                 worker.url, "GET", "/healthz", timeout=max(2.0, self.health_interval_s)
             )
         except (OSError, asyncio.TimeoutError, ValueError, ConnectionError):
-            worker.consecutive_failures += 1
-            if worker.consecutive_failures >= self.health_failures and worker.url in self.ring:
-                self._evict_worker(worker)
-            return
+            status, document = None, {}
         if status != 200:
             worker.consecutive_failures += 1
             if worker.consecutive_failures >= self.health_failures and worker.url in self.ring:
@@ -344,26 +305,14 @@ class RouterServer:
     # ------------------------------------------------------------------
     # dispatch + watch
     # ------------------------------------------------------------------
-    def _start_dispatch(self, job: Job) -> None:
-        self._pending_primaries += 1
-        task = asyncio.get_running_loop().create_task(
-            self._dispatch_and_watch(job), name=f"dispatch-{job.id}"
-        )
-        self._dispatchers.add(task)
-        task.add_done_callback(self._dispatchers.discard)
+    def _dispatch(self, job: Job) -> None:
+        self._spawn(self._dispatch_and_watch(job), f"dispatch-{job.id}")
 
     def _settle(self, job: Job, result: dict | None, error: str | None) -> None:
-        if job.terminal:
+        if job.terminal:  # cancelled meanwhile: its slot is already free
             return
-        settled = self.table.finish(job, result=result, error=error)
-        counter = "router.completed" if error is None else "router.failed"
-        self.registry.counter(counter).inc(len(settled))
-        self._pending_primaries -= 1
-        for done_job in settled:
-            latency_ms = int((done_job.finished_at - done_job.submitted_at) * 1000)
-            self.registry.histogram("router.job_latency_ms").observe(latency_ms)
-            if self.journal is not None:
-                self.journal.record_done(done_job)
+        self._primaries -= 1
+        self._finish(job, result=result, error=error)
 
     async def _send_dispatch(self, worker: WorkerHandle, job: Job) -> tuple[int, dict]:
         """Enqueue *job* for batched POSTing to *worker*.
@@ -379,11 +328,7 @@ class RouterServer:
         self._dispatch_buffers.setdefault(worker.url, []).append((job, future))
         if worker.url not in self._flushing:
             self._flushing.add(worker.url)
-            task = asyncio.get_running_loop().create_task(
-                self._flush_dispatches(worker), name=f"dispatch-flush-{worker.url}"
-            )
-            self._dispatchers.add(task)
-            task.add_done_callback(self._dispatchers.discard)
+            self._spawn(self._flush_dispatches(worker), f"dispatch-flush-{worker.url}")
         return await future
 
     async def _flush_dispatches(self, worker: WorkerHandle) -> None:
@@ -504,309 +449,8 @@ class RouterServer:
                 return True
         return True
 
-    # ------------------------------------------------------------------
-    # HTTP layer
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            try:
-                request = await _read_request(reader)
-                if request is None:
-                    return
-                method, path, query, body = request
-                self.registry.counter("router.http_requests").inc()
-                response = await self._route(method, path, query, body)
-            except _HttpError as error:
-                response = _encode_response(
-                    error.status, {"error": str(error), **error.payload}, error.headers
-                )
-            except ProtocolError as error:
-                response = _encode_response(400, {"error": str(error)})
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return
-            except Exception as error:  # noqa: BLE001 - never kill the acceptor
-                self.registry.counter("router.http_errors").inc()
-                response = _encode_response(
-                    500, {"error": f"{type(error).__name__}: {error}"}
-                )
-            writer.write(response)
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
 
-    async def _route(self, method: str, path: str, query: dict, body: bytes) -> bytes:
-        if path == "/healthz" and method == "GET":
-            return _encode_response(
-                200,
-                {
-                    "ok": True,
-                    "role": "router",
-                    "draining": self._draining,
-                    "queue_depth": self._pending_primaries,
-                    "workers": len(self._routable()),
-                    "protocol_version": PROTOCOL_VERSION,
-                },
-            )
-        if path == "/metrics" and method == "GET":
-            return _encode_response(200, self._metrics_document())
-        if path == "/v1/workers" and method == "GET":
-            return _encode_response(
-                200,
-                {"workers": [w.public() for w in sorted(self.workers.values(), key=lambda w: w.url)]},
-            )
-        if path == "/v1/workers/register" and method == "POST":
-            return self._register_worker(body)
-        if path == "/v1/jobs":
-            if method == "POST":
-                return self._post_jobs(body)
-            if method == "GET":
-                return self._list_jobs(query)
-            raise _HttpError(405, f"{method} not allowed on {path}")
-        if path.startswith("/v1/jobs/"):
-            job_id = path[len("/v1/jobs/"):]
-            if method == "GET":
-                return await self._get_job(job_id, query)
-            if method == "DELETE":
-                return self._cancel_job(job_id)
-            raise _HttpError(405, f"{method} not allowed on {path}")
-        raise _HttpError(404, f"no route for {method} {path}")
-
-    def _register_worker(self, body: bytes) -> bytes:
-        try:
-            payload = json.loads(body.decode("utf-8") or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise _HttpError(400, f"request body is not valid JSON: {error}") from None
-        if not isinstance(payload, dict) or not isinstance(payload.get("url"), str):
-            raise _HttpError(400, "register body must be {'url': ..., 'name'?: ...}")
-        name = payload.get("name")
-        if name is not None and not isinstance(name, str):
-            raise _HttpError(400, "name must be a string")
-        handle = self._add_worker(payload["url"], name=name)
-        return _encode_response(200, {"registered": handle.public()})
-
-    def _post_jobs(self, body: bytes) -> bytes:
-        if self._draining:
-            raise _HttpError(503, "router is draining", {"Retry-After": "5"})
-        try:
-            payload = json.loads(body.decode("utf-8") or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise _HttpError(400, f"request body is not valid JSON: {error}") from None
-        specs = parse_batch(payload)
-        new_fingerprints: set[str] = set()
-        new_work = 0
-        for spec in specs:
-            digest = spec.fingerprint()
-            if digest in new_fingerprints or self.table.active_primary(digest) is not None:
-                continue
-            new_fingerprints.add(digest)
-            new_work += 1
-        if self._pending_primaries + new_work > self.queue_size:
-            self.registry.counter("router.rejected_429").inc()
-            raise _HttpError(
-                429,
-                f"cluster queue full ({self._pending_primaries}/{self.queue_size} pending)",
-                {"Retry-After": str(self._retry_after())},
-            )
-        accepted = []
-        for spec in specs:
-            job, coalesced = self.table.submit(spec)
-            if self.journal is not None:
-                self.journal.record_submit(job)
-            if coalesced:
-                self.registry.counter("router.coalesce_hits").inc()
-            else:
-                self._start_dispatch(job)
-            self.registry.counter("router.submitted").inc()
-            accepted.append(
-                {
-                    "id": job.id,
-                    "status": job.status,
-                    "fingerprint": job.fingerprint,
-                    "coalesced": coalesced,
-                    "coalesced_into": job.coalesced_into,
-                }
-            )
-        return _encode_response(202, {"protocol_version": PROTOCOL_VERSION, "jobs": accepted})
-
-    def _retry_after(self) -> int:
-        workers = max(1, len(self._routable()))
-        return max(1, min(60, self._pending_primaries // workers))
-
-    def _list_jobs(self, query: dict) -> bytes:
-        status = query.get("status")
-        jobs = [
-            job.public(include_result=False)
-            for job in sorted(self.table.jobs.values(), key=lambda j: j.id)
-            if status is None or job.status == status
-        ]
-        return _encode_response(200, {"jobs": jobs})
-
-    async def _get_job(self, job_id: str, query: dict) -> bytes:
-        job = self.table.jobs.get(job_id)
-        if job is None:
-            raise _HttpError(
-                404,
-                f"no such job {job_id!r}",
-                payload={"next_id": self.table.next_id},
-            )
-        wait = 0.0
-        if "wait" in query:
-            try:
-                wait = min(MAX_LONGPOLL_S, max(0.0, float(query["wait"])))
-            except ValueError:
-                raise _HttpError(400, "wait must be a number of seconds") from None
-        deadline = time.monotonic() + wait
-        while not job.terminal and time.monotonic() < deadline and not self._draining:
-            remaining = deadline - time.monotonic()
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    job.done_event.wait(), timeout=min(_LONGPOLL_SLICE_S, remaining)
-                )
-        return _encode_response(200, job.public())
-
-    def _cancel_job(self, job_id: str) -> bytes:
-        job = self.table.jobs.get(job_id)
-        if job is None:
-            raise _HttpError(
-                404,
-                f"no such job {job_id!r}",
-                payload={"next_id": self.table.next_id},
-            )
-        if job.terminal:
-            return _encode_response(200, job.public(include_result=False))
-        if job.status != QUEUED:
-            raise _HttpError(409, f"job {job_id} is {job.status}; only queued jobs cancel")
-        was_primary = job.coalesced_into is None
-        settled = self.table.cancel(job)
-        self.registry.counter("router.cancelled").inc(len(settled))
-        if was_primary:
-            self._pending_primaries -= 1
-        if self.journal is not None:
-            for cancelled in settled:
-                self.journal.record_done(cancelled)
-        return _encode_response(200, job.public(include_result=False))
-
-    # ------------------------------------------------------------------
-    def _metrics_document(self) -> dict:
-        histogram = self.registry.get("router.job_latency_ms")
-        quantiles = {"p50": None, "p90": None, "p99": None}
-        if histogram is not None and histogram.total:
-            points = sorted(histogram.buckets.items())
-            total = histogram.total
-            for label, fraction in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)):
-                threshold = fraction * total
-                seen = 0
-                for bucket, count in points:
-                    seen += count
-                    if seen >= threshold:
-                        quantiles[label] = bucket
-                        break
-        self.registry.counter("router.queue_depth").set(self._pending_primaries)
-        return {
-            "protocol_version": PROTOCOL_VERSION,
-            "router": {
-                "draining": self._draining,
-                "queue_depth": self._pending_primaries,
-                "queue_size": self.queue_size,
-                "steal_watermark": self.steal_watermark,
-                "jobs_total": len(self.table.jobs),
-                "uptime_s": round(time.time() - self._started_at, 3),
-                "latency_ms": quantiles,
-                "workers": [w.public() for w in sorted(self.workers.values(), key=lambda w: w.url)],
-            },
-            "metrics": self.registry.as_dict(),
-        }
-
-
-# ----------------------------------------------------------------------
-# Embedding helpers
-# ----------------------------------------------------------------------
-async def _router_main(router: RouterServer, announce=None) -> None:
-    await router.start()
-    if announce is not None:
-        announce(router)
-    await router.run_until_signalled()
-
-
-def run_router(router: RouterServer, announce=None) -> int:
-    """Blocking entry point used by ``repro serve --router``."""
-    asyncio.run(_router_main(router, announce))
-    return 0
-
-
-class BackgroundRouter:
+class BackgroundRouter(BackgroundServer):
     """A RouterServer on its own thread + event loop (tests, fixtures)."""
 
-    def __init__(self, **router_kwargs):
-        self._kwargs = router_kwargs
-        self.router: RouterServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._stop_requested: asyncio.Event | None = None
-        self._graceful = True
-        self._startup_error: BaseException | None = None
-
-    @property
-    def port(self) -> int:
-        assert self.router is not None
-        return self.router.port
-
-    @property
-    def base_url(self) -> str:
-        assert self.router is not None
-        return f"http://{self.router.host}:{self.router.port}"
-
-    async def _main(self) -> None:
-        self._stop_requested = asyncio.Event()
-        self.router = RouterServer(**self._kwargs)
-        try:
-            await self.router.start()
-        except BaseException as error:
-            self._startup_error = error
-            self._ready.set()
-            raise
-        self._ready.set()
-        await self._stop_requested.wait()
-        if self._graceful:
-            await self.router.drain()
-        else:
-            await self.router.abort()
-
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        try:
-            self._loop.run_until_complete(self._main())
-        except BaseException:
-            self._ready.set()
-        finally:
-            self._loop.close()
-
-    def start(self) -> "BackgroundRouter":
-        self._thread = threading.Thread(target=self._run, name="router-bg", daemon=True)
-        self._thread.start()
-        self._ready.wait(timeout=30)
-        if self._startup_error is not None:
-            raise self._startup_error
-        if self.router is None or self._loop is None:
-            raise RuntimeError("background router failed to start")
-        return self
-
-    def stop(self, graceful: bool = True) -> None:
-        if self._loop is None or self._thread is None or self._stop_requested is None:
-            return
-        self._graceful = graceful
-        # Idempotent after the loop closed (crash-simulation teardowns).
-        with contextlib.suppress(RuntimeError):
-            self._loop.call_soon_threadsafe(self._stop_requested.set)
-        self._thread.join(timeout=60)
-
-    def __enter__(self) -> "BackgroundRouter":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop(graceful=True)
+    front_end_class = RouterServer

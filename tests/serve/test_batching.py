@@ -15,7 +15,7 @@ from repro.serve.executor import JobExecutor
 from repro.serve.protocol import parse_batch_with_ids
 from repro.serve.server import BackgroundServer
 
-from .conftest import tiny_run
+from .conftest import TINY, tiny_run
 
 
 def _specs(payloads):
@@ -52,6 +52,16 @@ class TestExecuteBatch:
         good, bad, also_good = fresh_executor.execute_batch(specs)
         assert good["kind"] == "run" and also_good["kind"] == "run"
         assert isinstance(bad, Exception) and "poisoned benchmark gcc" in str(bad)
+
+    def test_memo_holds_no_more_than_one_batch(self):
+        executor = JobExecutor(cache=False, jobs=1)
+        runner = executor.runner_for(TINY["insts"], TINY["warmup"])
+        for first in range(0, 40, 8):
+            executor.execute_batch(_specs([tiny_run(seed=seed) for seed in range(first, first + 8)]))
+            assert len(runner._results) <= 8
+        # Within a batch, execute reads what prefetch put in the memo:
+        # each of the 40 distinct specs simulated exactly once.
+        assert executor.simulated() == 40
 
 
 class TestBatchedDrain:

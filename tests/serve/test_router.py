@@ -20,6 +20,7 @@ from repro.serve.router import RouterServer, BackgroundRouter, WorkerHandle
 from repro.serve.server import BackgroundServer
 
 from tests.serve.conftest import tiny_run
+from tests.serve.contract import BackpressureContract, HttpSurfaceContract
 
 
 # ----------------------------------------------------------------------
@@ -81,6 +82,17 @@ class TestPlacement:
             asyncio.run(router._probe(worker))
         assert worker.url not in router.ring
         assert worker.healthy is False
+
+
+# ----------------------------------------------------------------------
+# The front-end contract, against a router with no workers
+# ----------------------------------------------------------------------
+class TestRouterBackpressure(BackpressureContract):
+    kind = "router"
+
+
+class TestRouterHttpSurface(HttpSurfaceContract):
+    kind = "router"
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +193,7 @@ class TestClusterIntegration:
             assert receipt["registered"]["url"] == extra.base_url
             listing = client.request("GET", "/v1/workers")["workers"]
             assert extra.base_url in {w["url"] for w in listing}
-            assert extra.base_url in router.router.ring
+            assert extra.base_url in router.server.ring
         finally:
             extra.stop(graceful=True)
 
@@ -220,7 +232,7 @@ class TestClusterIntegration:
         )
         second.start()
         try:
-            assert second.router.recovered == 1
+            assert second.server.recovered == 1
             document = ServeClient(second.base_url).wait(receipt["id"], timeout=60.0)
             assert document["status"] == "done"
             assert document["id"] == receipt["id"]
